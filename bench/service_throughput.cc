@@ -6,8 +6,8 @@
  * objectives x seeds) through a CompileService twice.  The first
  * pass hits a fresh PrepareCache cold — every decompose and seeded
  * layout is built from scratch; the repeat passes are warm — the
- * cache serves every prepare, and queued duplicates batch onto one
- * artifact fetch.  BENCH_service.json records requests/sec for both,
+ * cache serves every prepare, and queued requests for one program
+ * batch onto one program resolve.  BENCH_service.json records requests/sec for both,
  * the warm/cold speedup and the cache hit ratio, and the bench exits
  * nonzero if any warm response diverges from its cold twin (they
  * must be bit-identical).

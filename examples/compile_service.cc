@@ -15,7 +15,7 @@
  * PrepareCache, so their prepare column collapses to ~0 while the
  * metrics stay bit-identical to a cold compile; the closing stats
  * show the hit ratio and how many queued requests were batched onto
- * one artifact fetch.  In --connect mode the identical stream goes
+ * one program resolve.  In --connect mode the identical stream goes
  * through wire frames instead of function calls (and finishes by
  * asking the server to shut down), demonstrating that the two paths
  * return the same metrics.
@@ -153,7 +153,7 @@ main(int argc, char **argv)
               << " worker threads\n\n";
 
     // Submit everything up front (the service batches queued
-    // requests that share a prepare identity), then collect.
+    // requests that share a program and backend), then collect.
     std::vector<service::CompileRequest> stream = requestStream();
     std::vector<std::future<service::CompileResponse>> futures;
     for (const service::CompileRequest &req : stream)

@@ -1,10 +1,12 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -228,6 +230,46 @@ JsonValue::find(const std::string &key) const
         if (name == key)
             found = &value;
     return found;
+}
+
+namespace {
+
+/** JsonValue::integer() for either integer type. */
+template <typename T>
+bool
+exactInteger(const JsonValue &v, T &out)
+{
+    if (!v.isNumber())
+        return false;
+    T parsed{};
+    const char *end = v.str.data() + v.str.size();
+    auto [ptr, ec] = std::from_chars(v.str.data(), end, parsed);
+    if (ptr == end) {
+        out = parsed;
+        return ec == std::errc();
+    }
+    // A fraction or exponent ("5.0", "1e3"): exact through the double
+    // only below 2^53, where the literal cannot have been rounded.
+    if (!std::isfinite(v.num) || v.num != std::trunc(v.num)
+        || std::fabs(v.num) >= 0x1p53
+        || (std::is_unsigned_v<T> && v.num < 0))
+        return false;
+    out = static_cast<T>(v.num);
+    return true;
+}
+
+} // namespace
+
+bool
+JsonValue::integer(int64_t &out) const
+{
+    return exactInteger(*this, out);
+}
+
+bool
+JsonValue::integer(uint64_t &out) const
+{
+    return exactInteger(*this, out);
 }
 
 namespace {
@@ -488,6 +530,7 @@ class JsonParser
         JsonValue out;
         out.kind = JsonValue::Kind::Number;
         out.num = v;
+        out.str = std::move(lit);
         return out;
     }
 

@@ -112,6 +112,8 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double num = 0;
+    /** A String's text, or a Number's literal as written (so integer
+     *  readers recover 64-bit values that `num` would round). */
     std::string str;
     std::vector<JsonValue> items; ///< Array elements.
     std::vector<std::pair<std::string, JsonValue>> members;
@@ -126,6 +128,14 @@ struct JsonValue
     /** @return the member named @p key, or null when absent (or when
      *  this is not an object). */
     const JsonValue *find(const std::string &key) const;
+
+    /**
+     * Read an integral Number exactly into @p out.  @return false
+     * when this is not a Number, not integral, or out of range for
+     * the type (a negative literal never fits the unsigned one).
+     */
+    bool integer(int64_t &out) const;
+    bool integer(uint64_t &out) const;
 };
 
 /**

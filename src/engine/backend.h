@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -139,16 +140,6 @@ struct RunConfig
     bool fast_forward = true;
 
     /**
-     * Reproduce the pre-optimization execution paths everywhere
-     * they were replaced (cycle-aligned double-walk claims,
-     * per-detour BFS allocation, quadratic planar level scan).
-     * Combined with fast_forward = false this is the pre-change
-     * simulator, bit for bit — bench/perf_engine's recorded
-     * baseline.
-     */
-    bool legacy_baseline = false;
-
-    /**
      * Cycles a magic-state factory needs to distill one state, for
      * the double-defect backend; 0 means production is never the
      * bottleneck (Section 4.3's factories sized off the critical
@@ -241,6 +232,48 @@ struct RunConfig
      */
     obs::TraceRecorder *trace = nullptr;
 };
+
+/**
+ * The one list of RunConfig's input fields: calls
+ * @p f("name", config.member) once per field, in a fixed order,
+ * technology fields included.  @p config may be const or not.  The
+ * wire codec, the sweep grid fingerprint and the field-perturbation
+ * test all loop over it, so adding a RunConfig field means adding
+ * one line here.  `trace` is left out: it observes a run, it is not
+ * an input to it.
+ */
+template <typename Config, typename F>
+void
+forEachField(Config &config, F &&f)
+{
+    static_assert(
+        std::is_same_v<std::remove_const_t<Config>, RunConfig>);
+    f("tech.p_physical", config.tech.p_physical);
+    f("tech.t_two_qubit_ns", config.tech.t_two_qubit_ns);
+    f("tech.single_qubit_speedup", config.tech.single_qubit_speedup);
+    f("tech.t_measure_ns", config.tech.t_measure_ns);
+    f("code_distance", config.code_distance);
+    f("policy", config.policy);
+    f("epr_window_steps", config.epr_window_steps);
+    f("epr_bandwidth", config.epr_bandwidth);
+    f("num_simd_regions", config.num_simd_regions);
+    f("region_capacity", config.region_capacity);
+    f("kq", config.kq);
+    f("fast_forward", config.fast_forward);
+    f("magic_production_cycles", config.magic_production_cycles);
+    f("magic_buffer_capacity", config.magic_buffer_capacity);
+    f("adapt_timeout", config.adapt_timeout);
+    f("bfs_timeout", config.bfs_timeout);
+    f("drop_timeout", config.drop_timeout);
+    f("max_cycles", config.max_cycles);
+    f("hybrid_arbiter", config.hybrid_arbiter);
+    f("layout_objective", config.layout_objective);
+    f("lane_spacing", config.lane_spacing);
+    f("defect_density", config.defect_density);
+    f("defect_seed", config.defect_seed);
+    f("defect_spec", config.defect_spec);
+    f("seed", config.seed);
+}
 
 /** One unit of work handed to a backend. */
 struct WorkItem

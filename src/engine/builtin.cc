@@ -118,7 +118,6 @@ class DoubleDefectBackend : public Backend
         opts.code_distance = d;
         opts.seed = item.config.seed;
         opts.fast_forward = item.config.fast_forward;
-        opts.legacy_paths = item.config.legacy_baseline;
         opts.adapt_timeout = item.config.adapt_timeout;
         opts.bfs_timeout = item.config.bfs_timeout;
         opts.drop_timeout = item.config.drop_timeout;
@@ -217,8 +216,7 @@ class PlanarBackend : public Backend
         os << "simd/fp=" << std::hex << item.resolveFingerprint()
            << std::dec << "/d=" << item.resolveDistance()
            << "/r=" << item.config.num_simd_regions
-           << "/cap=" << item.config.region_capacity
-           << "/legacy=" << (item.config.legacy_baseline ? 1 : 0);
+           << "/cap=" << item.config.region_capacity;
         return os.str();
     }
 
@@ -228,7 +226,6 @@ class PlanarBackend : public Backend
         planar::PlanarOptions opts;
         opts.num_regions = item.config.num_simd_regions;
         opts.region_capacity = item.config.region_capacity;
-        opts.legacy_level_scan = item.config.legacy_baseline;
         return std::make_shared<const PlanarArtifact>(*item.circuit,
                                                       opts);
     }
@@ -245,7 +242,6 @@ class PlanarBackend : public Backend
         opts.epr_window_steps = item.config.epr_window_steps;
         opts.epr_bandwidth = item.config.epr_bandwidth;
         opts.tech = item.config.tech;
-        opts.legacy_level_scan = item.config.legacy_baseline;
         opts.trace = item.config.trace;
         planar::PlanarResult r;
         if (artifact) {

@@ -7,45 +7,25 @@
 
 namespace qsurf::engine {
 
-namespace {
-
-/** The single-walk claim, or the pre-change double walk when
- *  @p legacy (for honest A/B baselines). */
-bool
-claimRoute(network::Mesh &mesh, const network::Path &path, int owner,
-           bool legacy)
-{
-    if (!legacy)
-        return mesh.tryClaim(path, owner);
-    if (!mesh.routeFree(path, owner))
-        return false;
-    mesh.claim(path, owner);
-    return true;
-}
-
-} // namespace
-
 std::optional<network::Path>
 RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
                        int wait, bool yx_first)
 {
     network::Path first = yx_first ? network::yxRoute(src, dst)
                                    : network::xyRoute(src, dst);
-    if (claimRoute(mesh_, first, owner, opts_.legacy_paths))
+    if (mesh_.tryClaim(first, owner))
         return first;
     if (wait >= opts_.adapt_timeout) {
         network::Path second = yx_first ? network::xyRoute(src, dst)
                                         : network::yxRoute(src, dst);
-        if (claimRoute(mesh_, second, owner, opts_.legacy_paths)) {
+        if (mesh_.tryClaim(second, owner)) {
             ++transpose_fallbacks_;
             return second;
         }
     }
     if (wait >= opts_.bfs_timeout) {
-        auto detour = opts_.legacy_paths
-            ? network::adaptiveRoute(mesh_, src, dst, owner)
-            : network::adaptiveRoute(mesh_, src, dst, owner,
-                                     scratch_);
+        auto detour =
+            network::adaptiveRoute(mesh_, src, dst, owner, scratch_);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);
@@ -111,18 +91,16 @@ ChainClaimer::tryClaim(const network::Path &primary,
     setEndpointReserved(src, false);
     setEndpointReserved(dst, false);
 
-    if (claimRoute(mesh_, primary, owner, opts_.legacy_paths))
+    if (mesh_.tryClaim(primary, owner))
         return primary;
     if (wait >= opts_.adapt_timeout
-        && claimRoute(mesh_, fallback, owner, opts_.legacy_paths)) {
+        && mesh_.tryClaim(fallback, owner)) {
         ++transpose_fallbacks_;
         return fallback;
     }
     if (wait >= opts_.bfs_timeout) {
-        auto detour = opts_.legacy_paths
-            ? network::adaptiveRoute(mesh_, src, dst, owner)
-            : network::adaptiveRoute(mesh_, src, dst, owner,
-                                     scratch_);
+        auto detour =
+            network::adaptiveRoute(mesh_, src, dst, owner, scratch_);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);

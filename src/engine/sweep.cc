@@ -137,33 +137,13 @@ sweepGridFingerprint(const SweepGrid &grid)
         hashValue(h, v);
     for (double v : grid.defects)
         hashValue(h, v);
-    const RunConfig &c = grid.base;
-    hashValue(h, c.tech.p_physical);
-    hashValue(h, c.tech.t_two_qubit_ns);
-    hashValue(h, c.tech.single_qubit_speedup);
-    hashValue(h, c.tech.t_measure_ns);
-    hashValue(h, c.code_distance);
-    hashValue(h, c.policy);
-    hashValue(h, c.epr_window_steps);
-    hashValue(h, c.epr_bandwidth);
-    hashValue(h, c.num_simd_regions);
-    hashValue(h, c.region_capacity);
-    hashValue(h, c.kq);
-    hashValue(h, c.fast_forward);
-    hashValue(h, c.legacy_baseline);
-    hashValue(h, c.magic_production_cycles);
-    hashValue(h, c.magic_buffer_capacity);
-    hashValue(h, c.adapt_timeout);
-    hashValue(h, c.bfs_timeout);
-    hashValue(h, c.drop_timeout);
-    hashValue(h, c.max_cycles);
-    hashValue(h, c.hybrid_arbiter);
-    hashValue(h, c.layout_objective);
-    hashValue(h, c.lane_spacing);
-    hashValue(h, c.defect_density);
-    hashValue(h, c.defect_seed);
-    hashString(h, c.defect_spec);
-    hashValue(h, c.seed);
+    forEachField(grid.base, [&h](const char *, const auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     std::string>)
+            hashString(h, v);
+        else
+            hashValue(h, v);
+    });
     return h;
 }
 
@@ -683,11 +663,11 @@ loadSweepRows(const std::string &path, const SweepGrid &grid,
         const JsonValue *fp = header.find("grid_fingerprint");
         const JsonValue *n = header.find("points");
         const JsonValue *t = header.find("title");
+        uint64_t fp_value = 0;
         if (!stream || !stream->isString()
             || stream->str != kRowsStreamName || !fp
-            || !fp->isNumber()
-            || fp->num
-                != static_cast<double>(sweepGridFingerprint(grid))
+            || !fp->integer(fp_value)
+            || fp_value != sweepGridFingerprint(grid)
             || !n || !n->isNumber()
             || n->num != static_cast<double>(grid.points()) || !t
             || !t->isString() || t->str != title) {

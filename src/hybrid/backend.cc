@@ -98,7 +98,6 @@ class HybridBackend : public engine::Backend
         opts.magic_buffer_capacity =
             item.config.magic_buffer_capacity;
         opts.fast_forward = item.config.fast_forward;
-        opts.legacy_paths = item.config.legacy_baseline;
         opts.seed = item.config.seed;
         opts.defects = item.config.defectParams();
         opts.trace = item.config.trace;

@@ -124,9 +124,6 @@ struct HybridOptions
     /** Event-driven time skipping (bit-identical either way). */
     bool fast_forward = true;
 
-    /** Pre-optimization claim paths, for honest A/B baselines. */
-    bool legacy_paths = false;
-
     /** Layout RNG seed. */
     uint64_t seed = 1;
 

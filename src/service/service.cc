@@ -25,12 +25,11 @@ msSince(Clock::time_point start)
 }
 
 /**
- * The batch identity of a request: the program source, the backend,
- * and every RunConfig field any backend folds into its artifactKey().
- * Two requests with equal keys are guaranteed to resolve to the same
- * prepared program and machine artifact, so one prepare serves both.
- * (Fields outside the key — technology constants, timeouts, EPR
- * windows — may still differ; each request keeps its own run.)
+ * The batch identity of a request: the program (source or app and
+ * generator knobs, decompose settings, peephole switch) and the
+ * backend.  Requests with equal keys share one program resolve; each
+ * still fetches the machine artifact under its own artifactKey(), so
+ * no RunConfig field needs to appear here.
  */
 std::string
 batchKey(const CompileRequest &req)
@@ -49,14 +48,7 @@ batchKey(const CompileRequest &req)
     os << "/rz=" << req.decompose.rz_sequence_length << "/tf="
        << std::hex << tf_bits << std::dec << "/sw="
        << (req.decompose.expand_swap ? 1 : 0) << "/ph="
-       << (req.run_peephole ? 1 : 0) << "|" << req.backend << "|s="
-       << req.config.seed << "/d=" << req.config.code_distance
-       << "/p=" << req.config.policy << "/obj="
-       << req.config.layout_objective << "/lane="
-       << req.config.lane_spacing << "/r="
-       << req.config.num_simd_regions << "/cap="
-       << req.config.region_capacity << "/leg="
-       << (req.config.legacy_baseline ? 1 : 0);
+       << (req.run_peephole ? 1 : 0) << "|" << req.backend;
     return os.str();
 }
 
@@ -191,9 +183,10 @@ CompileService::workerLoop()
                 return; // Stopping, queue drained.
             batch.push_back(std::move(queue.front()));
             queue.pop_front();
-            // Pull every queued request with the same prepare
-            // identity into this batch: one artifact fetch, N runs.
-            const std::string &key = batch.front().key;
+            // Pull every queued request with the same program and
+            // backend into this batch: one program resolve, N runs.
+            // (A copy: push_back below may reallocate batch.front().)
+            const std::string key = batch.front().key;
             for (auto it = queue.begin(); it != queue.end();) {
                 if (it->key == key) {
                     batch.push_back(std::move(*it));
@@ -216,41 +209,14 @@ CompileService::serveBatch(std::vector<Pending> batch, Arena *arena)
     if (arena)
         arena->reset();
     Arena::Scope scope(arena);
-    // Prepare once for the whole batch (all entries share the batch
-    // key, hence the same program and machine artifact).
+    // The batch shares one backend and one program (the batch key):
+    // the first request that needs the program resolves it for all.
+    // Each request then fetches the machine artifact under its own
+    // artifactKey(), a warm lookup when an earlier one built it.
     const engine::Backend *backend = nullptr;
     std::shared_ptr<const CachedProgram> program;
-    std::shared_ptr<const engine::PreparedArtifact> artifact;
-    double prepare_ms = 0;
-    std::string prepare_error;
-    try {
-        const CompileRequest &req = batch.front().req;
-        backend = &registry.get(req.backend);
-        auto start = Clock::now();
-        // The analytic models take a circuit too (to derive the
-        // computation size), so resolve the program unless the
-        // request brings an explicit KQ instead.
-        if (backend->needsCircuit() || req.config.kq <= 0)
-            program = req.circuit
-                ? cachedProgram(cache, *req.circuit, req.decompose,
-                                req.run_peephole)
-                : cachedAppProgram(cache, req.app, req.gen,
-                                   req.decompose, req.run_peephole);
-        engine::WorkItem probe;
-        probe.app = req.app;
-        probe.config = req.config;
-        if (program) {
-            probe.circuit = &program->circ;
-            probe.circuit_fingerprint = program->fingerprint;
-        }
-        artifact = fetchArtifact(cache, *backend, probe);
-        prepare_ms = msSince(start);
-    } catch (const std::exception &e) {
-        prepare_error = e.what();
-    }
     metrics.observe("service.batch.size",
                     static_cast<double>(batch.size()));
-    metrics.observe("service.prepare_ms", prepare_ms);
 
     for (Pending &pending : batch) {
         // Nested scope: the batch reset bounds the whole group, the
@@ -264,22 +230,26 @@ CompileService::serveBatch(std::vector<Pending> batch, Arena *arena)
             arena_before = arena->stats();
         }
         CompileResponse response;
-        response.prepare_ms = prepare_ms;
         response.batch_size = batch.size();
-        if (!prepare_error.empty()) {
-            response.error = prepare_error;
-            metrics.observe("service.request.latency_ms",
-                            msSince(pending.enqueued));
-            metrics.inc("service.errors");
-            pending.promise.set_value(std::move(response));
-            continue;
-        }
         try {
             const CompileRequest &req = pending.req;
+            auto start = Clock::now();
+            if (!backend)
+                backend = &registry.get(req.backend);
             engine::WorkItem item;
             item.app = req.app;
             item.config = req.config;
-            if (program) {
+            // The analytic models take a circuit too (to derive the
+            // computation size), unless the request brings an
+            // explicit KQ instead.
+            if (backend->needsCircuit() || req.config.kq <= 0) {
+                if (!program)
+                    program = req.circuit
+                        ? cachedProgram(cache, *req.circuit,
+                                        req.decompose, req.run_peephole)
+                        : cachedAppProgram(cache, req.app, req.gen,
+                                           req.decompose,
+                                           req.run_peephole);
                 item.circuit = &program->circ;
                 item.circuit_fingerprint = program->fingerprint;
             }
@@ -290,7 +260,11 @@ CompileService::serveBatch(std::vector<Pending> batch, Arena *arena)
             else
                 item.app_name = apps::appSpec(req.app).name;
             backend->prepare(item);
-            auto start = Clock::now();
+            std::shared_ptr<const engine::PreparedArtifact> artifact =
+                fetchArtifact(cache, *backend, item);
+            response.prepare_ms = msSince(start);
+            metrics.observe("service.prepare_ms", response.prepare_ms);
+            start = Clock::now();
             response.metrics = backend->run(item, artifact.get());
             response.run_ms = msSince(start);
         } catch (const std::exception &e) {

@@ -6,8 +6,10 @@
  * layout construction per call (the batch-tool model every figure
  * bench historically followed), a service accepts a stream of
  * CompileRequests, keeps the shared PrepareCache warm across them,
- * and batches queued requests that share a prepare identity so one
- * artifact fetch serves the whole group.  Every request returns the
+ * and batches queued requests that compile the same program on the
+ * same backend, so one program resolve serves the whole group; each
+ * request then runs on the machine artifact of its own
+ * artifactKey().  Every request returns the
  * same uniform engine::Metrics a direct Backend::run() produces —
  * bit-identical, since the cached artifact path is bit-identical by
  * construction.
@@ -78,9 +80,10 @@ struct CompileResponse
     /** Uniform result record; valid when ok(). */
     engine::Metrics metrics;
 
-    /** Wall time of the prepare stage (program + machine artifact)
-     *  this request's batch paid, in ms.  Warm requests see the
-     *  cache-hit cost, not the build cost. */
+    /** Wall time of this request's prepare stage (the batch's
+     *  program, when this request resolved it, plus its own machine
+     *  artifact), in ms.  Warm requests see the cache-hit cost, not
+     *  the build cost. */
     double prepare_ms = 0;
 
     /** Wall time of Backend::run() for this request, in ms. */
@@ -150,7 +153,7 @@ class CompileService
 
     /**
      * Enqueue @p req; the future resolves when a worker finishes it.
-     * Requests already queued that share the prepare identity are
+     * Requests already queued that share the program and backend are
      * served as one batch.  Must not be called during destruction.
      */
     std::future<CompileResponse> submit(CompileRequest req);

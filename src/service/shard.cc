@@ -232,10 +232,11 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
             // running; a mismatch means the processes disagree about
             // the experiment (codec drift, stale remote binary).
             const JsonValue *fp = doc.find("grid_fingerprint");
-            fatalIf(fp && fp->isNumber()
-                        && fp->num
-                            != static_cast<double>(
-                                engine::sweepGridFingerprint(*grid)),
+            uint64_t fp_value = 0;
+            fatalIf(fp
+                        && (!fp->integer(fp_value)
+                            || fp_value
+                                != engine::sweepGridFingerprint(*grid)),
                     "ShardAssign grid fingerprint does not match "
                     "this worker's grid");
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -175,37 +177,62 @@ parseCodeKind(const std::string &name)
     fatal("unknown code kind '", name, "' in wire response");
 }
 
-double
-num(const JsonValue &obj, const std::string &key, double fallback)
+/** Range-checked readers, one per field type: a value of the wrong
+ *  kind, or one @p out cannot hold exactly, is fatal. */
+void
+readValue(const JsonValue &v, const std::string &key, double &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    fatalIf(!v->isNumber(), "wire field '", key,
-            "' is not a number");
-    return v->num;
+    fatalIf(!v.isNumber() || !std::isfinite(v.num), "wire field '",
+            key, "' is not a finite number");
+    out = v.num;
 }
 
-bool
-flag(const JsonValue &obj, const std::string &key, bool fallback)
+void
+readValue(const JsonValue &v, const std::string &key, int &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    fatalIf(!v->isBool(), "wire field '", key, "' is not a bool");
-    return v->boolean;
+    int64_t i = 0;
+    fatalIf(!v.integer(i) || i < std::numeric_limits<int>::min()
+                || i > std::numeric_limits<int>::max(),
+            "wire field '", key, "' is not an int");
+    out = static_cast<int>(i);
 }
 
-std::string
-text(const JsonValue &obj, const std::string &key,
-     const std::string &fallback = {})
+void
+readValue(const JsonValue &v, const std::string &key, uint64_t &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    fatalIf(!v->isString(), "wire field '", key,
-            "' is not a string");
-    return v->str;
+    fatalIf(!v.integer(out), "wire field '", key,
+            "' is not an unsigned 64-bit integer");
+}
+
+void
+readValue(const JsonValue &v, const std::string &key, bool &out)
+{
+    fatalIf(!v.isBool(), "wire field '", key, "' is not a bool");
+    out = v.boolean;
+}
+
+void
+readValue(const JsonValue &v, const std::string &key, std::string &out)
+{
+    fatalIf(!v.isString(), "wire field '", key, "' is not a string");
+    out = v.str;
+}
+
+/** Read member @p key of @p obj into @p out; absent leaves it. */
+template <typename T>
+void
+read(const JsonValue &obj, const std::string &key, T &out)
+{
+    if (const JsonValue *v = obj.find(key))
+        readValue(*v, key, out);
+}
+
+template <typename T>
+T
+get(const JsonValue &obj, const std::string &key, T fallback = {})
+{
+    read(obj, key, fallback);
+    return fallback;
 }
 
 /** Write @p c as a JSON object (shared by CompileRequest and
@@ -214,100 +241,31 @@ void
 writeRunConfig(JsonWriter &j, const engine::RunConfig &c)
 {
     j.beginObject();
-    j.key("tech");
-    j.beginObject();
-    j.field("p_physical", c.tech.p_physical);
-    j.field("t_two_qubit_ns", c.tech.t_two_qubit_ns);
-    j.field("single_qubit_speedup", c.tech.single_qubit_speedup);
-    j.field("t_measure_ns", c.tech.t_measure_ns);
-    j.endObject();
-    j.field("code_distance", c.code_distance);
-    j.field("policy", c.policy);
-    j.field("epr_window_steps", c.epr_window_steps);
-    j.field("epr_bandwidth", c.epr_bandwidth);
-    j.field("num_simd_regions", c.num_simd_regions);
-    j.field("region_capacity", c.region_capacity);
-    j.field("kq", c.kq);
-    j.field("fast_forward", c.fast_forward);
-    j.field("legacy_baseline", c.legacy_baseline);
-    j.field("magic_production_cycles", c.magic_production_cycles);
-    j.field("magic_buffer_capacity", c.magic_buffer_capacity);
-    j.field("adapt_timeout", c.adapt_timeout);
-    j.field("bfs_timeout", c.bfs_timeout);
-    j.field("drop_timeout", c.drop_timeout);
-    j.field("max_cycles", c.max_cycles);
-    j.field("hybrid_arbiter", c.hybrid_arbiter);
-    j.field("layout_objective", c.layout_objective);
-    j.field("lane_spacing", c.lane_spacing);
-    j.field("defect_density", c.defect_density);
-    j.field("defect_seed", c.defect_seed);
-    if (!c.defect_spec.empty())
-        j.field("defect_spec", c.defect_spec);
-    j.field("seed", c.seed);
+    engine::forEachField(c, [&j](const char *name, const auto &v) {
+        j.field(name, v);
+    });
     j.endObject();
 }
 
 /** Parse a writeRunConfig object into @p c (absent fields keep
- *  their current values). */
+ *  their current values; unknown ones are fatal, so a peer built
+ *  with another field list fails loudly instead of running on
+ *  defaults). */
 void
 readRunConfig(const JsonValue &cfg, engine::RunConfig &c)
 {
     fatalIf(!cfg.isObject(), "wire 'config' is not an object");
-    if (const JsonValue *tech = cfg.find("tech")) {
-        fatalIf(!tech->isObject(), "wire 'tech' is not an object");
-        c.tech.p_physical =
-            num(*tech, "p_physical", c.tech.p_physical);
-        c.tech.t_two_qubit_ns =
-            num(*tech, "t_two_qubit_ns", c.tech.t_two_qubit_ns);
-        c.tech.single_qubit_speedup =
-            num(*tech, "single_qubit_speedup",
-                c.tech.single_qubit_speedup);
-        c.tech.t_measure_ns =
-            num(*tech, "t_measure_ns", c.tech.t_measure_ns);
+    for (const auto &member : cfg.members) {
+        bool known = false;
+        engine::forEachField(c, [&](const char *name, const auto &) {
+            known = known || member.first == name;
+        });
+        fatalIf(!known, "wire config has unknown field '",
+                member.first, "'");
     }
-    c.code_distance = static_cast<int>(
-        num(cfg, "code_distance", c.code_distance));
-    c.policy = static_cast<int>(num(cfg, "policy", c.policy));
-    c.epr_window_steps = static_cast<int>(
-        num(cfg, "epr_window_steps", c.epr_window_steps));
-    c.epr_bandwidth = static_cast<int>(
-        num(cfg, "epr_bandwidth", c.epr_bandwidth));
-    c.num_simd_regions = static_cast<int>(
-        num(cfg, "num_simd_regions", c.num_simd_regions));
-    c.region_capacity = static_cast<int>(
-        num(cfg, "region_capacity", c.region_capacity));
-    c.kq = num(cfg, "kq", c.kq);
-    c.fast_forward = flag(cfg, "fast_forward", c.fast_forward);
-    c.legacy_baseline =
-        flag(cfg, "legacy_baseline", c.legacy_baseline);
-    c.magic_production_cycles =
-        static_cast<int>(num(cfg, "magic_production_cycles",
-                             c.magic_production_cycles));
-    c.magic_buffer_capacity =
-        static_cast<int>(num(cfg, "magic_buffer_capacity",
-                             c.magic_buffer_capacity));
-    c.adapt_timeout = static_cast<int>(
-        num(cfg, "adapt_timeout", c.adapt_timeout));
-    c.bfs_timeout =
-        static_cast<int>(num(cfg, "bfs_timeout", c.bfs_timeout));
-    c.drop_timeout =
-        static_cast<int>(num(cfg, "drop_timeout", c.drop_timeout));
-    c.max_cycles = static_cast<uint64_t>(
-        num(cfg, "max_cycles", static_cast<double>(c.max_cycles)));
-    c.hybrid_arbiter = static_cast<int>(
-        num(cfg, "hybrid_arbiter", c.hybrid_arbiter));
-    c.layout_objective = static_cast<int>(
-        num(cfg, "layout_objective", c.layout_objective));
-    c.lane_spacing = static_cast<int>(
-        num(cfg, "lane_spacing", c.lane_spacing));
-    c.defect_density =
-        num(cfg, "defect_density", c.defect_density);
-    c.defect_seed = static_cast<uint64_t>(
-        num(cfg, "defect_seed",
-            static_cast<double>(c.defect_seed)));
-    c.defect_spec = text(cfg, "defect_spec", c.defect_spec);
-    c.seed = static_cast<uint64_t>(
-        num(cfg, "seed", static_cast<double>(c.seed)));
+    engine::forEachField(c, [&cfg](const char *name, auto &v) {
+        read(cfg, name, v);
+    });
 }
 
 } // namespace
@@ -555,27 +513,22 @@ decodeCompileRequest(const std::string &json)
     JsonValue doc = parseJson(json);
     fatalIf(!doc.isObject(), "wire request is not a JSON object");
     CompileRequest req;
-    req.app = parseAppKind(text(doc, "app", "SQ"));
+    req.app = parseAppKind(get<std::string>(doc, "app", "SQ"));
     if (const JsonValue *gen = doc.find("gen")) {
         fatalIf(!gen->isObject(), "wire 'gen' is not an object");
-        req.gen.problem_size = static_cast<int>(
-            num(*gen, "problem_size", req.gen.problem_size));
-        req.gen.max_iterations = static_cast<int>(
-            num(*gen, "max_iterations", req.gen.max_iterations));
+        read(*gen, "problem_size", req.gen.problem_size);
+        read(*gen, "max_iterations", req.gen.max_iterations);
     }
     if (const JsonValue *d = doc.find("decompose")) {
         fatalIf(!d->isObject(), "wire 'decompose' is not an object");
-        req.decompose.rz_sequence_length =
-            static_cast<int>(num(*d, "rz_sequence_length",
-                                 req.decompose.rz_sequence_length));
-        req.decompose.rz_t_fraction =
-            num(*d, "rz_t_fraction", req.decompose.rz_t_fraction);
-        req.decompose.expand_swap =
-            flag(*d, "expand_swap", req.decompose.expand_swap);
+        read(*d, "rz_sequence_length",
+             req.decompose.rz_sequence_length);
+        read(*d, "rz_t_fraction", req.decompose.rz_t_fraction);
+        read(*d, "expand_swap", req.decompose.expand_swap);
     }
-    req.run_peephole = flag(doc, "run_peephole", req.run_peephole);
-    req.label = text(doc, "label");
-    req.backend = text(doc, "backend", req.backend);
+    read(doc, "run_peephole", req.run_peephole);
+    read(doc, "label", req.label);
+    read(doc, "backend", req.backend);
     if (const JsonValue *cfg = doc.find("config"))
         readRunConfig(*cfg, req.config);
     return req;
@@ -649,12 +602,10 @@ decodeSweepGrid(const std::string &json)
     for (const JsonValue &a : apps_v->items) {
         fatalIf(!a.isObject(), "wire grid app is not an object");
         engine::AppPoint point;
-        point.kind = parseAppKind(text(a, "app", "SQ"));
-        point.gen.problem_size = static_cast<int>(
-            num(a, "problem_size", point.gen.problem_size));
-        point.gen.max_iterations = static_cast<int>(
-            num(a, "max_iterations", point.gen.max_iterations));
-        point.label = text(a, "label");
+        point.kind = parseAppKind(get<std::string>(a, "app", "SQ"));
+        read(a, "problem_size", point.gen.problem_size);
+        read(a, "max_iterations", point.gen.max_iterations);
+        read(a, "label", point.label);
         grid.apps.push_back(std::move(point));
     }
     const JsonValue *backends = doc.find("backends");
@@ -665,44 +616,23 @@ decodeSweepGrid(const std::string &json)
         fatalIf(!b.isString(), "wire grid backend is not a string");
         grid.backends.push_back(b.str);
     }
-    auto int_axis = [&](const char *name, std::vector<int> &out) {
+    auto axis = [&](const char *name, auto &out) {
         const JsonValue *v = doc.find(name);
         if (!v)
             return;
         fatalIf(!v->isArray(), "wire grid '", name,
                 "' is not an array");
-        out.clear();
-        for (const JsonValue &e : v->items) {
-            fatalIf(!e.isNumber(), "wire grid '", name,
-                    "' element is not a number");
-            out.push_back(static_cast<int>(e.num));
-        }
+        out.assign(v->items.size(), {});
+        for (size_t i = 0; i < out.size(); ++i)
+            readValue(v->items[i], name, out[i]);
     };
-    int_axis("policies", grid.policies);
-    int_axis("arbiters", grid.arbiters);
-    int_axis("layout_objectives", grid.layout_objectives);
-    int_axis("distances", grid.distances);
-    int_axis("epr_windows", grid.epr_windows);
-    if (const JsonValue *sizes = doc.find("sizes")) {
-        fatalIf(!sizes->isArray(),
-                "wire grid 'sizes' is not an array");
-        grid.sizes.clear();
-        for (const JsonValue &e : sizes->items) {
-            fatalIf(!e.isNumber(),
-                    "wire grid 'sizes' element is not a number");
-            grid.sizes.push_back(e.num);
-        }
-    }
-    if (const JsonValue *defects = doc.find("defects")) {
-        fatalIf(!defects->isArray(),
-                "wire grid 'defects' is not an array");
-        grid.defects.clear();
-        for (const JsonValue &e : defects->items) {
-            fatalIf(!e.isNumber(),
-                    "wire grid 'defects' element is not a number");
-            grid.defects.push_back(e.num);
-        }
-    }
+    axis("policies", grid.policies);
+    axis("arbiters", grid.arbiters);
+    axis("layout_objectives", grid.layout_objectives);
+    axis("distances", grid.distances);
+    axis("epr_windows", grid.epr_windows);
+    axis("sizes", grid.sizes);
+    axis("defects", grid.defects);
     if (const JsonValue *base = doc.find("base"))
         readRunConfig(*base, grid.base);
     return grid;
@@ -744,25 +674,21 @@ decodeCompileResponse(const std::string &json)
     JsonValue doc = parseJson(json);
     fatalIf(!doc.isObject(), "wire response is not a JSON object");
     CompileResponse resp;
-    resp.error = text(doc, "error");
-    resp.prepare_ms = num(doc, "prepare_ms", 0);
-    resp.run_ms = num(doc, "run_ms", 0);
-    resp.batch_size =
-        static_cast<uint64_t>(num(doc, "batch_size", 1));
+    read(doc, "error", resp.error);
+    read(doc, "prepare_ms", resp.prepare_ms);
+    read(doc, "run_ms", resp.run_ms);
+    read(doc, "batch_size", resp.batch_size);
     if (const JsonValue *m = doc.find("metrics")) {
         fatalIf(!m->isObject(), "wire 'metrics' is not an object");
-        resp.metrics.backend = text(*m, "backend");
-        resp.metrics.code = parseCodeKind(
-            text(*m, "code", qec::codeKindName(resp.metrics.code)));
-        resp.metrics.code_distance = static_cast<int>(
-            num(*m, "code_distance", 0));
-        resp.metrics.schedule_cycles = static_cast<uint64_t>(
-            num(*m, "schedule_cycles", 0));
-        resp.metrics.critical_path_cycles = static_cast<uint64_t>(
-            num(*m, "critical_path_cycles", 0));
-        resp.metrics.physical_qubits =
-            num(*m, "physical_qubits", 0);
-        resp.metrics.seconds = num(*m, "seconds", 0);
+        read(*m, "backend", resp.metrics.backend);
+        resp.metrics.code = parseCodeKind(get<std::string>(
+            *m, "code", qec::codeKindName(resp.metrics.code)));
+        read(*m, "code_distance", resp.metrics.code_distance);
+        read(*m, "schedule_cycles", resp.metrics.schedule_cycles);
+        read(*m, "critical_path_cycles",
+             resp.metrics.critical_path_cycles);
+        read(*m, "physical_qubits", resp.metrics.physical_qubits);
+        read(*m, "seconds", resp.metrics.seconds);
         if (const JsonValue *extras = m->find("extras")) {
             fatalIf(!extras->isObject(),
                     "wire 'extras' is not an object");
@@ -1219,7 +1145,7 @@ Client::Client(int in_fd, int out_fd, bool owns_fds)
             "expected a Hello frame, got ",
             frameTypeName(hello.type));
     JsonValue doc = parseJson(hello.payload);
-    fatalIf(text(doc, "service") != "qsurf-compile",
+    fatalIf(get<std::string>(doc, "service") != "qsurf-compile",
             "peer is not a qsurf compile server");
 }
 
@@ -1256,7 +1182,8 @@ Client::compile(const CompileRequest &req)
     if (reply.type == FrameType::Error) {
         JsonValue doc = parseJson(reply.payload);
         CompileResponse resp;
-        resp.error = text(doc, "error", "unknown server error");
+        resp.error =
+            get<std::string>(doc, "error", "unknown server error");
         return resp;
     }
     fatalIf(reply.type != FrameType::Response,

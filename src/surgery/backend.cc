@@ -70,7 +70,6 @@ class SurgerySimBackend : public engine::Backend
         opts.lane_spacing = item.config.lane_spacing;
         opts.seed = item.config.seed;
         opts.fast_forward = item.config.fast_forward;
-        opts.legacy_paths = item.config.legacy_baseline;
         opts.adapt_timeout = item.config.adapt_timeout;
         opts.bfs_timeout = item.config.bfs_timeout;
         opts.drop_timeout = item.config.drop_timeout;

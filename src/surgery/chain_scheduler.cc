@@ -146,7 +146,6 @@ class Simulator
         engine::RouteClaimOptions c;
         c.adapt_timeout = opts.adapt_timeout;
         c.bfs_timeout = opts.bfs_timeout;
-        c.legacy_paths = opts.legacy_paths;
         return c;
     }
 
@@ -262,23 +261,10 @@ class Simulator
             bfs_before = claimer.bfsDetours();
         }
         for (const auto &[dst, factory] : dsts) {
-            std::optional<network::Path> chain;
-            if (opts.legacy_paths) {
-                // Pre-change behavior: rebuild both corridor
-                // geometries on every attempt.
-                network::Path primary =
-                    arch.corridorRoute(src, dst, false);
-                network::Path fallback =
-                    arch.corridorRoute(src, dst, true);
-                chain = claimer.tryClaim(primary, fallback, i,
-                                         op.wait);
-            } else {
-                const CorridorRouter::Routes &routes =
-                    corridors.routes(src, dst);
-                chain = claimer.tryClaim(routes.primary,
-                                         routes.fallback, i,
-                                         op.wait);
-            }
+            const CorridorRouter::Routes &routes =
+                corridors.routes(src, dst);
+            std::optional<network::Path> chain = claimer.tryClaim(
+                routes.primary, routes.fallback, i, op.wait);
             if (chain) {
                 if (trace) {
                     int64_t stage = 0;

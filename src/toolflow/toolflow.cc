@@ -40,6 +40,11 @@ Report
 run(const circuit::Circuit &logical, const Config &config)
 {
     fatalIf(logical.empty(), "toolflow needs a non-empty circuit");
+    fatalIf(config.code_distance != 0,
+            "toolflow takes its distance from force_distance, not "
+            "code_distance");
+    fatalIf(config.trace != nullptr,
+            "toolflow traces through trace_path, not a recorder");
     config.tech.check();
 
     Report report;
@@ -88,18 +93,8 @@ run(const circuit::Circuit &logical, const Config &config)
     item.app_name = report.app_name;
     item.circuit = circ;
     item.circuit_fingerprint = fingerprint;
-    item.config.tech = config.tech;
+    item.config = config;
     item.config.code_distance = report.code_distance;
-    item.config.policy = static_cast<int>(config.policy);
-    item.config.epr_window_steps = config.epr_window_steps;
-    item.config.num_simd_regions = config.num_simd_regions;
-    item.config.hybrid_arbiter = config.hybrid_arbiter;
-    item.config.layout_objective = config.layout_objective;
-    item.config.lane_spacing = config.lane_spacing;
-    item.config.defect_density = config.defect_density;
-    item.config.defect_seed = config.defect_seed;
-    item.config.defect_spec = config.defect_spec;
-    item.config.seed = config.seed;
 
     const std::vector<std::string> default_backends{
         engine::backends::planar, engine::backends::double_defect};

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "braid/scheduler.h"
 #include "circuit/circuit.h"
 #include "circuit/decompose.h"
 #include "circuit/peephole.h"
@@ -29,12 +28,16 @@
 
 namespace qsurf::toolflow {
 
-/** Configuration of one toolflow run. */
-struct Config
+/**
+ * Configuration of one toolflow run: the engine run parameters
+ * (technology, policy, seed, fabric damage, ...) every dispatched
+ * backend receives, plus the toolflow's own frontend and output
+ * settings.  The distance input is `force_distance`: the inherited
+ * `code_distance` must stay 0, and the inherited `trace` null (use
+ * `trace_path`), or run() fails rather than ignore them.
+ */
+struct Config : engine::RunConfig
 {
-    /** Technology characteristics (Figure 4's bottom input). */
-    qec::Technology tech;
-
     /** Gate decomposition settings. */
     circuit::DecomposeConfig decompose;
 
@@ -49,49 +52,8 @@ struct Config
      */
     bool use_cache = true;
 
-    /** Braid priority policy for the double-defect backend. */
-    braid::Policy policy = braid::Policy::Combined;
-
-    /**
-     * Scheme arbiter for the "hybrid/mixed-sim" backend when it is
-     * listed in `backends` (a hybrid::ArbiterKind index; 0 =
-     * cost-model greedy).
-     */
-    int hybrid_arbiter = 0;
-
-    /**
-     * Patch-layout objective for the surgery and hybrid backends (a
-     * partition::LayoutObjective index): 0 braid-manhattan,
-     * 1 corridor, 2 corridor+lanes.  Braid backends ignore it.
-     */
-    int layout_objective = 0;
-
-    /** Patch rows/columns between dedicated ancilla lanes (used by
-     *  layout_objective 2). */
-    int lane_spacing = 4;
-
-    /** EPR lookahead window for the planar backend (steps). */
-    int epr_window_steps = 32;
-
-    /** SIMD regions in the planar machine. */
-    int num_simd_regions = 4;
-
     /** Code distance override; 0 selects from KQ and pP. */
     int force_distance = 0;
-
-    /** Layout / tie-break RNG seed. */
-    uint64_t seed = 1;
-
-    /** Fabric defect density for the simulated mesh backends
-     *  (fraction of tiles knocked out; 0 = perfect fabric). */
-    double defect_density = 0;
-
-    /** Defect-map generator seed (independent of `seed`). */
-    uint64_t defect_seed = 0;
-
-    /** Explicit device defect spec as JSON (see
-     *  fabric::DefectParams::spec_json); overrides the generator. */
-    std::string defect_spec;
 
     /**
      * Engine backends to dispatch to, by registry name; empty runs

@@ -113,20 +113,11 @@ goldenGrid()
 }
 
 void
-checkAgainstGoldens(int threads, bool legacy_baseline = false)
+checkAgainstGoldens(int threads)
 {
     SweepOptions opts;
     opts.num_threads = threads;
-    SweepGrid grid = goldenGrid();
-    if (legacy_baseline) {
-        // bench/perf_engine's recorded baseline: the cycle-stepped
-        // loop on the pre-optimization execution paths.  It must
-        // reproduce the pinned values too, or the A/B perf numbers
-        // would compare different computations.
-        grid.base.fast_forward = false;
-        grid.base.legacy_baseline = true;
-    }
-    auto results = SweepDriver().run(grid, opts);
+    auto results = SweepDriver().run(goldenGrid(), opts);
     const auto &table = goldens();
     ASSERT_EQ(results.size(), table.size());
     for (size_t i = 0; i < table.size(); ++i) {
@@ -155,7 +146,6 @@ checkAgainstGoldens(int threads, bool legacy_baseline = false)
 TEST(Golden, OneThread) { checkAgainstGoldens(1); }
 TEST(Golden, TwoThreads) { checkAgainstGoldens(2); }
 TEST(Golden, EightThreads) { checkAgainstGoldens(8); }
-TEST(Golden, LegacyBaselineMode) { checkAgainstGoldens(1, true); }
 
 /** One pinned hybrid point: the scheme-choice histogram and the
  *  arbitration counters, per arbiter. */

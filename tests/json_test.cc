@@ -168,6 +168,39 @@ TEST(JsonParser, WriterOutputRoundTrips)
     EXPECT_TRUE(rows->items[2].isNull());
 }
 
+TEST(JsonParser, IntegersReadExactlyOrNotAtAll)
+{
+    auto u64 = [](const char *text, uint64_t &out) {
+        return parseJson(text).integer(out);
+    };
+    auto i64 = [](const char *text, int64_t &out) {
+        return parseJson(text).integer(out);
+    };
+    uint64_t u = 0;
+    int64_t i = 0;
+    // Above 2^53 a double cannot hold every integer; the literal
+    // text can.
+    ASSERT_TRUE(u64("9007199254740993", u));
+    EXPECT_EQ(u, (1ull << 53) + 1);
+    ASSERT_TRUE(u64("18446744073709551615", u));
+    EXPECT_EQ(u, ~0ull);
+    ASSERT_TRUE(i64("-9223372036854775808", i));
+    EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+    ASSERT_TRUE(u64("1e3", u));
+    EXPECT_EQ(u, 1000u);
+    ASSERT_TRUE(i64("-4.0", i));
+    EXPECT_EQ(i, -4);
+
+    for (const char *bad :
+         {"-1", "18446744073709551616", "1.5", "1e300", "-0.5",
+          "9007199254740993.0", "\"7\"", "true", "null"})
+        EXPECT_FALSE(u64(bad, u)) << bad;
+    for (const char *bad :
+         {"9223372036854775808", "-9223372036854775809", "2.5",
+          "1e19", "[1]"})
+        EXPECT_FALSE(i64(bad, i)) << bad;
+}
+
 TEST(JsonParser, ErrorsThrowWithPosition)
 {
     for (const char *bad :

@@ -151,16 +151,18 @@ TEST(ShardFault, LocalTcpTransportMatchesSocketpairRows)
     EXPECT_EQ(engine::canonicalSweepRows(merged), expected);
 }
 
-TEST(ShardFault, RemoteTcpWorkerReceivesGridOverTheWire)
+/** Run @p grid on one "remote" worker: a process that shares no
+ *  grid memory with the parent (forked before any assignment, grid
+ *  decoded off the wire by serveSweepWorker), so every grid field
+ *  crosses the codec.  The merged rows must match a single-process
+ *  run. */
+void
+expectRemoteTcpRowsMatch(const engine::SweepGrid &grid)
 {
-    setQuiet(true);
-    engine::SweepGrid grid = faultGrid();
     std::string expected = singleProcessRows(grid);
 
-    // A "remote" worker: a process that shares no grid memory with
-    // the parent (fork before any assignment, grid decoded off the
-    // wire by serveSweepWorker).  The listener is created pre-fork
-    // so the port is known to both sides.
+    // The listener is created pre-fork so the port is known to both
+    // sides.
     wire::TcpListener listener("127.0.0.1:0");
     std::string spec =
         "127.0.0.1:" + std::to_string(listener.port());
@@ -191,6 +193,24 @@ TEST(ShardFault, RemoteTcpWorkerReceivesGridOverTheWire)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "remote worker exit status " << status;
+}
+
+TEST(ShardFault, RemoteTcpWorkerReceivesGridOverTheWire)
+{
+    setQuiet(true);
+    expectRemoteTcpRowsMatch(faultGrid());
+}
+
+TEST(ShardFault, RemoteTcpWorkerRunsTheFullWidthSeed)
+{
+    // 2^63 + 1 is not a double: a codec that carried the seed
+    // through one would run the remote slice on 2^63 instead.
+    setQuiet(true);
+    engine::SweepGrid grid = faultGrid();
+    grid.base.seed = (1ull << 63) + 1;
+    grid.base.defect_seed = (1ull << 63) + 3;
+    grid.defects = {0, 0.05};
+    expectRemoteTcpRowsMatch(grid);
 }
 
 TEST(ShardFault, DeadRemoteWorkerIsRedialedAndRejoins)

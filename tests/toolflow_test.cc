@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "braid/scheduler.h"
 #include "common/logging.h"
+#include "engine/registry.h"
+#include "obs/trace.h"
 #include "toolflow/toolflow.h"
 
 namespace qsurf::toolflow {
@@ -62,6 +65,30 @@ TEST(Toolflow, ForceDistanceOverrides)
     EXPECT_EQ(r.code_distance, 9);
 }
 
+TEST(Toolflow, ForwardsRunConfigFieldsToTheBackends)
+{
+    // Config is a RunConfig: every field reaches the backends, not
+    // only the ones the toolflow once copied by hand.
+    Config tight;
+    tight.backends = {engine::backends::double_defect};
+    tight.max_cycles = 10;
+    EXPECT_THROW(run(smallApp(apps::AppKind::GSE), tight),
+                 qsurf::FatalError);
+}
+
+TEST(Toolflow, RejectsInheritedFieldsItWouldIgnore)
+{
+    Config distance;
+    distance.code_distance = 5; // force_distance is the input.
+    EXPECT_THROW(run(smallApp(apps::AppKind::SQ), distance),
+                 qsurf::FatalError);
+    obs::NullTraceRecorder recorder;
+    Config traced;
+    traced.trace = &recorder; // trace_path is the input.
+    EXPECT_THROW(run(smallApp(apps::AppKind::SQ), traced),
+                 qsurf::FatalError);
+}
+
 TEST(Toolflow, PhysicalQubitsScaleWithCode)
 {
     Report r = run(smallApp(apps::AppKind::SQ));
@@ -103,8 +130,8 @@ TEST(Toolflow, FormatMentionsKeyMetrics)
 TEST(Toolflow, PolicyChoiceAffectsDoubleDefectOnly)
 {
     Config p0, p6;
-    p0.policy = braid::Policy::ProgramOrder;
-    p6.policy = braid::Policy::Combined;
+    p0.policy = static_cast<int>(braid::Policy::ProgramOrder);
+    p6.policy = static_cast<int>(braid::Policy::Combined);
     circuit::Circuit c = smallApp(apps::AppKind::IsingFull);
     Report r0 = run(c, p0);
     Report r6 = run(c, p6);

@@ -26,6 +26,8 @@
 #include "service/service.h"
 #include "service/wire.h"
 
+#include "run_config_fields.h"
+
 namespace qsurf {
 namespace {
 
@@ -201,23 +203,25 @@ TEST(WireCodec, CompileRequestRoundTripsEveryField)
     req.run_peephole = false;
     req.label = "round-trip";
     req.backend = engine::backends::hybrid_mixed;
-    req.config.tech.p_physical = 1e-6;
-    req.config.code_distance = 17;
-    req.config.policy = 3;
-    req.config.epr_window_steps = 48;
-    req.config.kq = 1e7;
-    req.config.fast_forward = false;
-    req.config.adapt_timeout = 6;
-    req.config.max_cycles = 3'000'000'000ull;
-    req.config.hybrid_arbiter = 2;
-    req.config.layout_objective = 2;
-    req.config.lane_spacing = 3;
-    req.config.defect_density = 0.07;
-    req.config.defect_seed = 99;
-    req.config.defect_spec =
-        "{\"dead_tiles\": [[1, 2]], \"disabled_links\": "
-        "[[0, 0, 1, 0]]}";
-    req.config.seed = 424242;
+    // A distinct non-default value in every RunConfig field.  The
+    // 64-bit values are chosen so a double in transit would round
+    // them: 2^53 + 1 and 2^64 - 1 have no double representation.
+    int k = 0;
+    engine::forEachField(req.config, [&k](const char *, auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        ++k;
+        if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+        else if constexpr (std::is_same_v<T, int>)
+            v = k % 2 ? -k : 1000 * k;
+        else if constexpr (std::is_same_v<T, uint64_t>)
+            v = k % 2 ? (1ull << 53) + 1 : ~0ull;
+        else if constexpr (std::is_same_v<T, double>)
+            v = 0.1 * k + 1e-17;
+        else
+            v = "{\"dead_tiles\": [[1, 2]], \"disabled_links\": "
+                "[[0, 0, 1, 0]]}";
+    });
 
     service::CompileRequest back =
         wire::decodeCompileRequest(wire::encodeCompileRequest(req));
@@ -226,33 +230,57 @@ TEST(WireCodec, CompileRequestRoundTripsEveryField)
     EXPECT_EQ(back.gen.max_iterations, req.gen.max_iterations);
     EXPECT_EQ(back.decompose.rz_sequence_length,
               req.decompose.rz_sequence_length);
-    EXPECT_DOUBLE_EQ(back.decompose.rz_t_fraction,
-                     req.decompose.rz_t_fraction);
+    EXPECT_EQ(back.decompose.rz_t_fraction,
+              req.decompose.rz_t_fraction);
     EXPECT_EQ(back.decompose.expand_swap,
               req.decompose.expand_swap);
     EXPECT_EQ(back.run_peephole, req.run_peephole);
     EXPECT_EQ(back.label, req.label);
     EXPECT_EQ(back.backend, req.backend);
-    EXPECT_DOUBLE_EQ(back.config.tech.p_physical,
-                     req.config.tech.p_physical);
-    EXPECT_EQ(back.config.code_distance, req.config.code_distance);
-    EXPECT_EQ(back.config.policy, req.config.policy);
-    EXPECT_EQ(back.config.epr_window_steps,
-              req.config.epr_window_steps);
-    EXPECT_DOUBLE_EQ(back.config.kq, req.config.kq);
-    EXPECT_EQ(back.config.fast_forward, req.config.fast_forward);
-    EXPECT_EQ(back.config.adapt_timeout, req.config.adapt_timeout);
-    EXPECT_EQ(back.config.max_cycles, req.config.max_cycles);
-    EXPECT_EQ(back.config.hybrid_arbiter,
-              req.config.hybrid_arbiter);
-    EXPECT_EQ(back.config.layout_objective,
-              req.config.layout_objective);
-    EXPECT_EQ(back.config.lane_spacing, req.config.lane_spacing);
-    EXPECT_DOUBLE_EQ(back.config.defect_density,
-                     req.config.defect_density);
-    EXPECT_EQ(back.config.defect_seed, req.config.defect_seed);
-    EXPECT_EQ(back.config.defect_spec, req.config.defect_spec);
-    EXPECT_EQ(back.config.seed, req.config.seed);
+    EXPECT_EQ(testing::fieldValues(back.config),
+              testing::fieldValues(req.config));
+}
+
+TEST(WireCodec, RejectsIntegersTheFieldCannotHold)
+{
+    auto decodeWith = [](const std::string &field) {
+        return wire::decodeCompileRequest(
+            "{\"app\": \"SQ\", \"config\": {" + field + "}}");
+    };
+    EXPECT_EQ(decodeWith("\"seed\": 18446744073709551615").config.seed,
+              ~0ull);
+    EXPECT_EQ(decodeWith("\"epr_window_steps\": -1")
+                  .config.epr_window_steps,
+              -1);
+    EXPECT_EQ(decodeWith("\"code_distance\": 5.0")
+                  .config.code_distance,
+              5);
+    for (const char *bad :
+         {"\"seed\": -1", "\"seed\": 18446744073709551616",
+          "\"seed\": 1.5", "\"seed\": 1e300", "\"seed\": true",
+          "\"defect_seed\": -0.5", "\"code_distance\": 1e300",
+          "\"code_distance\": 2147483648",
+          "\"policy\": -2147483649", "\"policy\": 2.5",
+          "\"max_cycles\": 9007199254740993.0", "\"kq\": 1e400",
+          "\"fast_forward\": 1", "\"defect_spec\": 3",
+          "\"no_such_field\": 1", "\"tech\": {\"p_physical\": 1e-3}"})
+        EXPECT_THROW(decodeWith(bad), FatalError) << bad;
+    EXPECT_THROW(wire::decodeCompileRequest(
+                     "{\"gen\": {\"problem_size\": 1e300}}"),
+                 FatalError);
+
+    // The sweep-grid codec shares the readers: axes and base alike.
+    const std::string grid_head =
+        "{\"apps\": [{\"app\": \"SQ\"}], \"backends\": "
+        "[\"planar\"], ";
+    EXPECT_NO_THROW(wire::decodeSweepGrid(grid_head
+                                          + "\"distances\": [3]}"));
+    for (const char *bad :
+         {"\"distances\": [1e300]}", "\"policies\": [0.5]}",
+          "\"sizes\": [\"1\"]}", "\"base\": {\"seed\": -1}}"})
+        EXPECT_THROW(wire::decodeSweepGrid(grid_head + bad),
+                     FatalError)
+            << bad;
 }
 
 TEST(WireCodec, CallerCircuitsAreNotRepresentable)
@@ -608,7 +636,7 @@ TEST(WireCodec, SweepGridRoundTripsWithEqualFingerprint)
     grid.epr_windows = {-1, 32};
     grid.sizes = {0, 1e6};
     grid.defects = {0, 0.04, 0.08};
-    grid.base.seed = 77;
+    grid.base.seed = (1ull << 63) + 1;
     grid.base.code_distance = 7;
     grid.base.tech.p_physical = 1e-5;
     grid.base.defect_seed = 13;
@@ -625,8 +653,10 @@ TEST(WireCodec, SweepGridRoundTripsWithEqualFingerprint)
     EXPECT_EQ(back.backends, grid.backends);
     EXPECT_EQ(back.distances, grid.distances);
     EXPECT_EQ(back.defects, grid.defects);
-    EXPECT_EQ(back.base.defect_seed, grid.base.defect_seed);
-    EXPECT_EQ(back.base.defect_spec, grid.base.defect_spec);
+    EXPECT_EQ(testing::fieldValues(back.base),
+              testing::fieldValues(grid.base));
+    EXPECT_EQ(back.epr_windows, grid.epr_windows);
+    EXPECT_EQ(back.sizes, grid.sizes);
 
     // Caller-built circuits cannot cross the wire.
     engine::SweepGrid with_circuit;
