@@ -7,32 +7,151 @@
 
 namespace qsurf::engine {
 
-std::optional<network::Path>
-RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
-                       int wait, bool yx_first)
+ClaimMemo::Slot *
+ClaimMemo::find(int owner, int32_t src, int32_t dst, bool yx_first)
 {
-    network::Path first = yx_first ? network::yxRoute(src, dst)
-                                   : network::xyRoute(src, dst);
-    if (mesh_.tryClaim(first, owner))
-        return first;
-    if (wait >= opts_.adapt_timeout) {
-        network::Path second = yx_first ? network::xyRoute(src, dst)
-                                        : network::yxRoute(src, dst);
-        if (mesh_.tryClaim(second, owner)) {
-            ++transpose_fallbacks_;
-            return second;
+    auto it = entries_.find(owner);
+    if (it == entries_.end())
+        return nullptr;
+    Entry &entry = it->second;
+    int used = std::min(entry.inserted, max_slots);
+    for (int k = 0; k < used; ++k) {
+        Slot &slot = entry.slots[static_cast<size_t>(k)];
+        if (slot.src == src && slot.dst == dst
+            && slot.yx_first == yx_first)
+            return &slot;
+    }
+    return nullptr;
+}
+
+ClaimMemo::Slot &
+ClaimMemo::insert(int owner, int32_t src, int32_t dst, bool yx_first)
+{
+    auto it = entries_.find(owner);
+    if (it == entries_.end()) {
+        if (spare_.empty()) {
+            it = entries_.try_emplace(owner).first;
+        } else {
+            Map::node_type node = std::move(spare_.back());
+            spare_.pop_back();
+            node.key() = owner;
+            node.mapped().inserted = 0;
+            it = entries_.insert(std::move(node)).position;
         }
     }
-    if (wait >= opts_.bfs_timeout) {
+    Entry &entry = it->second;
+    Slot &slot = entry.slots[static_cast<size_t>(entry.inserted++
+                                                 % max_slots)];
+    slot.src = src;
+    slot.dst = dst;
+    slot.yx_first = yx_first;
+    slot.primary = -1;
+    slot.fallback = -1;
+    slot.bfs_witnessed = false;
+    slot.bfs_boundary.clear();
+    return slot;
+}
+
+void
+ClaimMemo::erase(int owner)
+{
+    auto it = entries_.find(owner);
+    if (it != entries_.end())
+        spare_.push_back(entries_.extract(it));
+}
+
+template <typename Route, typename Suspends, typename Suspend>
+std::optional<network::Path>
+EscalatingClaimer::escalate(int owner, const Coord &src,
+                            const Coord &dst, int wait, bool yx_first,
+                            Route &&route, Suspends &&suspends,
+                            Suspend &&suspend)
+{
+    auto s = static_cast<int32_t>(mesh_.nodeResource(src));
+    auto d = static_cast<int32_t>(mesh_.nodeResource(dst));
+    ClaimMemo::Slot *slot = memo_.find(owner, s, d, yx_first);
+
+    // A stage is walked unless its last failure is still witnessed:
+    // held by someone else, and not by a hold the attempt suspends.
+    auto held = [&](int32_t resource) {
+        if (resource < 0)
+            return false;
+        int holder = mesh_.resourceOwner(resource);
+        return holder != network::Mesh::no_owner && holder != owner
+            && !suspends(resource, holder);
+    };
+    auto bfsHeld = [&](const ClaimMemo::Slot &m) {
+        return m.bfs_witnessed
+            && std::all_of(m.bfs_boundary.begin(),
+                           m.bfs_boundary.end(), held);
+    };
+    bool walk_primary = !slot || !held(slot->primary);
+    bool walk_fallback = wait >= opts_.adapt_timeout
+        && (!slot || !held(slot->fallback));
+    bool walk_bfs = wait >= opts_.bfs_timeout
+        && (!slot || !bfsHeld(*slot));
+    if (!walk_primary && !walk_fallback && !walk_bfs) {
+        ++witnessed_failures_;
+        return std::nullopt;
+    }
+
+    suspend(true);
+    int32_t primary_blocker = -1;
+    int32_t fallback_blocker = -1;
+    if (walk_primary) {
+        decltype(auto) path = route(false);
+        if (mesh_.tryClaim(path, owner)) {
+            memo_.erase(owner);
+            return path;
+        }
+        primary_blocker = mesh_.blocker();
+    }
+    if (walk_fallback) {
+        decltype(auto) path = route(true);
+        if (mesh_.tryClaim(path, owner)) {
+            ++transpose_fallbacks_;
+            memo_.erase(owner);
+            return path;
+        }
+        fallback_blocker = mesh_.blocker();
+    }
+    if (walk_bfs) {
         auto detour =
             network::adaptiveRoute(mesh_, src, dst, owner, scratch_);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);
+            memo_.erase(owner);
             return detour;
         }
     }
+    suspend(false);
+
+    if (!slot)
+        slot = &memo_.insert(owner, s, d, yx_first);
+    if (walk_primary)
+        slot->primary = primary_blocker;
+    if (walk_fallback)
+        slot->fallback = fallback_blocker;
+    if (walk_bfs) {
+        slot->bfs_witnessed = !scratch_.witnessOverflow();
+        slot->bfs_boundary.assign(scratch_.witnesses().begin(),
+                                  scratch_.witnesses().end());
+    }
     return std::nullopt;
+}
+
+std::optional<network::Path>
+RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
+                       int wait, bool yx_first)
+{
+    return escalate(
+        owner, src, dst, wait, yx_first,
+        [&](bool fallback) {
+            return yx_first != fallback ? network::yxRoute(src, dst)
+                                        : network::xyRoute(src, dst);
+        },
+        [](int, int) { return false; }, [](bool) {});
 }
 
 void
@@ -85,32 +204,24 @@ ChainClaimer::tryClaim(const network::Path &primary,
 {
     const Coord &src = primary.source();
     const Coord &dst = primary.dest();
-
-    // Suspend the endpoint reservations: the two merged patches are
-    // part of the chain, but stay opaque to every other chain.
-    setEndpointReserved(src, false);
-    setEndpointReserved(dst, false);
-
-    if (mesh_.tryClaim(primary, owner))
-        return primary;
-    if (wait >= opts_.adapt_timeout
-        && mesh_.tryClaim(fallback, owner)) {
-        ++transpose_fallbacks_;
-        return fallback;
-    }
-    if (wait >= opts_.bfs_timeout) {
-        auto detour =
-            network::adaptiveRoute(mesh_, src, dst, owner, scratch_);
-        if (detour) {
-            ++bfs_detours_;
-            mesh_.claim(*detour, owner);
-            return detour;
-        }
-    }
-
-    setEndpointReserved(src, true);
-    setEndpointReserved(dst, true);
-    return std::nullopt;
+    int s = mesh_.nodeResource(src);
+    int d = mesh_.nodeResource(dst);
+    return escalate(
+        owner, src, dst, wait, false,
+        [&](bool second) -> const network::Path & {
+            return second ? fallback : primary;
+        },
+        // The attempt suspends its own endpoints' reservations.
+        [&](int resource, int holder) {
+            return (resource == s || resource == d)
+                && holder == reserved_[static_cast<size_t>(resource)];
+        },
+        // The two merged patches are part of the chain, but stay
+        // opaque to every other chain.
+        [&](bool suspend) {
+            setEndpointReserved(src, !suspend);
+            setEndpointReserved(dst, !suspend);
+        });
 }
 
 void

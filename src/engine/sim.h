@@ -17,10 +17,12 @@
 #define QSURF_ENGINE_SIM_H
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <queue>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -310,21 +312,157 @@ fastForwardAfterStall(FastForward &ff, const ExpiryQueue &expiry,
 }
 
 /**
- * The route-claim escalation of Section 6.1, shared by the
- * circuit-switched backends: try the preferred dimension-ordered
- * route, fall back to the transposed one once the requester has
- * waited adapt_timeout cycles, and to a breadth-first detour through
- * currently-free resources after bfs_timeout.  On success the route
- * is claimed on the mesh atomically (the n-hops-in-1-cycle property).
- * Claim attempts and the BFS detour are allocation-free: validation
- * and claiming share one mesh walk, and the detour search reuses an
- * epoch-stamped scratch owned by the claimer.
+ * Failure witnesses of the owners stalled on a claim.
+ *
+ * Between two attempts by the same owner, other owners' claims can
+ * only take resources away.  A dimension-ordered or corridor route
+ * fails exactly when one of its resources is held by someone else,
+ * and a BFS detour fails exactly when every edge leaving the region
+ * it explored is blocked.  So a stage that failed keeps failing
+ * while its witness stays held, and the claimer can answer "no"
+ * without building the route, suspending endpoint reservations or
+ * searching.
+ *
+ * Each owner gets one slot per destination, up to three (a T gate
+ * tries up to three factories).  A slot holds the first blocker of
+ * the primary route, that of the fallback route, and the BFS
+ * boundary.  A boundary that outgrew BfsScratch::max_witnesses is
+ * not kept, so that search is walked again.  An owner's entry is
+ * erased when it places, so memory follows the stalled owners, not
+ * the circuit size.
  */
-class RouteClaimer
+class ClaimMemo
+{
+  public:
+    /** What an owner's last failures to one destination left. */
+    struct Slot
+    {
+        int32_t src = -1; ///< Key: source router index.
+        int32_t dst = -1; ///< Key: destination router index.
+        bool yx_first = false; ///< Key: preferred geometry.
+        int32_t primary = -1;  ///< Primary route's blocker; -1 unknown.
+        int32_t fallback = -1; ///< Fallback route's blocker; -1 unknown.
+        /** True when bfs_boundary lists every blocked edge of the
+         *  last failed search. */
+        bool bfs_witnessed = false;
+        std::vector<int32_t> bfs_boundary; ///< Mesh resource ids.
+    };
+
+    /** Destinations remembered per owner. */
+    static constexpr int max_slots = 3;
+
+    /** @return @p owner's slot for the key, or null. */
+    Slot *find(int owner, int32_t src, int32_t dst, bool yx_first);
+
+    /**
+     * @return a cleared slot for the key (absent from the memo),
+     * replacing the owner's oldest slot when all are in use.
+     */
+    Slot &insert(int owner, int32_t src, int32_t dst, bool yx_first);
+
+    /** Forget everything about @p owner. */
+    void erase(int owner);
+
+    /** @return owners with at least one slot. */
+    size_t owners() const { return entries_.size(); }
+
+  private:
+    struct Entry
+    {
+        std::array<Slot, max_slots> slots;
+        int inserted = 0; ///< Slots opened; the oldest is replaced.
+    };
+
+    using Map = std::unordered_map<int, Entry>;
+
+    Map entries_;
+
+    /** Erased owners' map nodes, reused by the next insert(): they
+     *  keep their boundary vectors' capacity, so a steady stream of
+     *  stalls does not allocate. */
+    std::vector<Map::node_type> spare_;
+};
+
+/**
+ * The route-claim escalation of Section 6.1, shared by the
+ * circuit-switched claimers: try the primary route, fall back to the
+ * alternate geometry once the requester has waited adapt_timeout
+ * cycles, and to a breadth-first detour through currently-free
+ * resources after bfs_timeout.  On success the route is claimed on
+ * the mesh atomically (the n-hops-in-1-cycle property).  Claim
+ * attempts and the BFS detour are allocation-free: validation and
+ * claiming share one mesh walk, and the detour search reuses an
+ * epoch-stamped scratch owned by the claimer.  A ClaimMemo skips
+ * every stage whose last failure is still witnessed, so a stalled
+ * owner's repeat attempts cost a few ownership lookups.
+ */
+class EscalatingClaimer
+{
+  public:
+    /** Successful placements that needed the transposed route. */
+    uint64_t transposeFallbacks() const { return transpose_fallbacks_; }
+
+    /** Successful placements that needed the BFS detour. */
+    uint64_t bfsDetours() const { return bfs_detours_; }
+
+    /**
+     * Drop @p owner's failure witnesses.  Call when it placed
+     * without the claimer (a teleport); a claim does it itself.
+     */
+    void forget(int owner) { memo_.erase(owner); }
+
+    /** @return owners whose failure witnesses are remembered. */
+    size_t stalledOwners() const { return memo_.owners(); }
+
+    /** @return attempts answered from failure witnesses alone. */
+    uint64_t witnessedFailures() const { return witnessed_failures_; }
+
+  protected:
+    EscalatingClaimer(network::Mesh &mesh,
+                      const RouteClaimOptions &opts)
+        : mesh_(mesh), opts_(opts)
+    {
+    }
+
+    /**
+     * Run the escalation for @p owner from @p src to @p dst.
+     *
+     * @param route    callable(bool fallback) returning the primary
+     *                 or fallback path; called only for walked
+     *                 stages.
+     * @param suspends callable(int resource, int holder): true when
+     *                 the attempt itself suspends that hold, so it
+     *                 does not witness a failure.
+     * @param suspend  callable(bool suspend): suspend (true) before
+     *                 the first walk, restore (false) after a
+     *                 failure.
+     */
+    template <typename Route, typename Suspends, typename Suspend>
+    std::optional<network::Path>
+    escalate(int owner, const Coord &src, const Coord &dst, int wait,
+             bool yx_first, Route &&route, Suspends &&suspends,
+             Suspend &&suspend);
+
+    network::Mesh &mesh_;
+
+  private:
+    RouteClaimOptions opts_;
+    network::BfsScratch scratch_;
+    ClaimMemo memo_;
+    uint64_t transpose_fallbacks_ = 0;
+    uint64_t bfs_detours_ = 0;
+    uint64_t witnessed_failures_ = 0;
+};
+
+/**
+ * Braid routes: the preferred dimension-ordered route, then the
+ * transposed one, then the BFS detour.
+ */
+class RouteClaimer : public EscalatingClaimer
 {
   public:
     RouteClaimer(network::Mesh &mesh, const RouteClaimOptions &opts)
-        : mesh_(mesh), opts_(opts)
+        : EscalatingClaimer(mesh, opts)
     {
     }
 
@@ -341,19 +479,6 @@ class RouteClaimer
     std::optional<network::Path> tryClaim(const Coord &src,
                                           const Coord &dst, int owner,
                                           int wait, bool yx_first);
-
-    /** Successful placements that needed the transposed route. */
-    uint64_t transposeFallbacks() const { return transpose_fallbacks_; }
-
-    /** Successful placements that needed the BFS detour. */
-    uint64_t bfsDetours() const { return bfs_detours_; }
-
-  private:
-    network::Mesh &mesh_;
-    RouteClaimOptions opts_;
-    network::BfsScratch scratch_;
-    uint64_t transpose_fallbacks_ = 0;
-    uint64_t bfs_detours_ = 0;
 };
 
 /**
@@ -371,11 +496,11 @@ class RouteClaimer
  * RouteClaimer.  Like a braid, a granted chain owns its whole
  * corridor exclusively until release().
  */
-class ChainClaimer
+class ChainClaimer : public EscalatingClaimer
 {
   public:
     ChainClaimer(network::Mesh &mesh, const RouteClaimOptions &opts)
-        : mesh_(mesh), opts_(opts),
+        : EscalatingClaimer(mesh, opts),
           reserved_(static_cast<size_t>(mesh.numNodes()), -1)
     {
     }
@@ -391,7 +516,9 @@ class ChainClaimer
 
     /**
      * Try to claim the corridor of @p primary (endpoints included)
-     * for @p owner.
+     * for @p owner.  Every call for one pair of endpoints must pass
+     * the same two routes (CorridorRouter's do): the failure
+     * witnesses are keyed by the endpoints.
      *
      * @param primary  preferred corridor route; its endpoints name
      *                 the two patches being merged.
@@ -408,29 +535,17 @@ class ChainClaimer
     /** Release @p chain and restore its endpoint reservations. */
     void release(const network::Path &chain, int owner);
 
-    /** Successful placements that needed the fallback geometry. */
-    uint64_t transposeFallbacks() const { return transpose_fallbacks_; }
-
-    /** Successful placements that needed the BFS detour. */
-    uint64_t bfsDetours() const { return bfs_detours_; }
-
   private:
-    /** Suspend (true) or restore (false) an endpoint reservation. */
+    /** Restore (true) or suspend (false) an endpoint reservation. */
     void setEndpointReserved(const Coord &c, bool reserved);
 
     /** First sentinel owner id; far above any op id. */
     static constexpr int reserved_owner_base = 1 << 28;
 
-    network::Mesh &mesh_;
-    RouteClaimOptions opts_;
-    network::BfsScratch scratch_;
-
     /** Sentinel owner per mesh node, -1 where unreserved: a flat
      *  table sized once, replacing the old std::map<Coord,int>. */
     std::vector<int32_t> reserved_;
     int num_reserved_ = 0;
-    uint64_t transpose_fallbacks_ = 0;
-    uint64_t bfs_detours_ = 0;
 };
 
 /**

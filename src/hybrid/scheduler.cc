@@ -457,6 +457,9 @@ class Simulator
             tiles = manhattan(arch.patchOf(op.qa),
                               arch.factoryPatch(fac));
         }
+        // An op re-arbitrated after a drop may have stalled on the
+        // mesh first; its failure witnesses are no longer needed.
+        claimer.forget(i);
         uint64_t transport = transportCycles(opts, tiles);
         uint64_t start = channels.acquire(cycle, transport);
         uint64_t arrival = start + transport;

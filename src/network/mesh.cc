@@ -32,24 +32,11 @@ Mesh::Mesh(int width, int height)
     }
 }
 
-bool
-Mesh::contains(const Coord &c) const
-{
-    return c.x >= 0 && c.x < w && c.y >= 0 && c.y < h;
-}
-
 int
 Mesh::nodeIndex(const Coord &c) const
 {
     panicIf(!contains(c), "router ", c.x, ",", c.y, " outside ", w, "x",
             h, " mesh");
-    return linearIndex(c, w);
-}
-
-int
-Mesh::nodeIndexFast(const Coord &c) const
-{
-    assert(contains(c) && "router outside the mesh");
     return linearIndex(c, w);
 }
 
@@ -65,21 +52,6 @@ Mesh::linkIndex(const Coord &a, const Coord &b) const
 }
 
 int
-Mesh::linkIndexFast(int ia, int ib) const
-{
-    int lo = std::min(ia, ib);
-    // Index distance 1 is a horizontal hop — except on a 1-wide
-    // mesh, where only vertical links exist.
-    int li = std::abs(ib - ia) == 1 && w > 1
-        ? right_link[static_cast<size_t>(lo)]
-        : down_link[static_cast<size_t>(lo)];
-    assert((std::abs(ib - ia) == 1 || std::abs(ib - ia) == w)
-           && "link endpoints not adjacent");
-    assert(li >= 0 && "link leaves the mesh");
-    return li;
-}
-
-int
 Mesh::nodeOwner(const Coord &c) const
 {
     return node_owner[static_cast<size_t>(nodeIndex(c))];
@@ -89,21 +61,6 @@ int
 Mesh::linkOwner(const Coord &a, const Coord &b) const
 {
     return link_owner[static_cast<size_t>(linkIndex(a, b))];
-}
-
-bool
-Mesh::nodeAvailable(const Coord &c, int owner) const
-{
-    int cur = node_owner[static_cast<size_t>(nodeIndexFast(c))];
-    return cur == no_owner || cur == owner;
-}
-
-bool
-Mesh::linkAvailable(const Coord &a, const Coord &b, int owner) const
-{
-    int cur = link_owner[static_cast<size_t>(
-        linkIndexFast(nodeIndexFast(a), nodeIndexFast(b)))];
-    return cur == no_owner || cur == owner;
 }
 
 void
@@ -166,13 +123,17 @@ Mesh::tryClaim(const Path &path, int owner)
     for (const Coord &c : path.nodes) {
         int ni = nodeIndexFast(c);
         int cur = node_owner[static_cast<size_t>(ni)];
-        if (cur != no_owner && cur != owner)
+        if (cur != no_owner && cur != owner) {
+            blocker_ = ni;
             return false;
+        }
         if (prev >= 0) {
             int li = linkIndexFast(prev, ni);
             cur = link_owner[static_cast<size_t>(li)];
-            if (cur != no_owner && cur != owner)
+            if (cur != no_owner && cur != owner) {
+                blocker_ = numNodes() + li;
                 return false;
+            }
             walk_links.push_back(li);
         }
         walk_nodes.push_back(ni);

@@ -24,7 +24,10 @@
 #ifndef QSURF_NETWORK_MESH_H
 #define QSURF_NETWORK_MESH_H
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/geometry.h"
@@ -84,7 +87,11 @@ class Mesh
     int numLinks() const { return static_cast<int>(link_owner.size()); }
 
     /** @return true when @p c is a valid router coordinate. */
-    bool contains(const Coord &c) const;
+    bool
+    contains(const Coord &c) const
+    {
+        return c.x >= 0 && c.x < w && c.y >= 0 && c.y < h;
+    }
 
     /** @return owner of router @p c, or no_owner. */
     int nodeOwner(const Coord &c) const;
@@ -102,9 +109,37 @@ class Mesh
      * Walk @p path once: validate that every node and link is free
      * (or already owned by @p owner) and, when they all are, claim
      * them using the indices recorded during the walk.  @return true
-     * on success; on failure the mesh is unmodified.
+     * on success; on failure the mesh is unmodified and blocker()
+     * names the first resource the walk found held.
      */
     bool tryClaim(const Path &path, int owner);
+
+    /**
+     * Resource ids name every node and link in one space: router
+     * @p c is its linear index, link a-b is numNodes() plus the link
+     * index.  Failure witnesses (blocker(), BfsScratch) use them.
+     */
+    int nodeResource(const Coord &c) const { return nodeIndexFast(c); }
+
+    /** @return the resource id of link a-b (adjacent routers). */
+    int
+    linkResource(const Coord &a, const Coord &b) const
+    {
+        return numNodes()
+            + linkIndexFast(nodeIndexFast(a), nodeIndexFast(b));
+    }
+
+    /** @return the owner of resource id @p resource. */
+    int
+    resourceOwner(int resource) const
+    {
+        return resource < numNodes()
+            ? node_owner[static_cast<size_t>(resource)]
+            : link_owner[static_cast<size_t>(resource - numNodes())];
+    }
+
+    /** @return the resource id that failed the last tryClaim(). */
+    int blocker() const { return blocker_; }
 
     /**
      * Claim every node and link of @p path for @p owner.
@@ -117,10 +152,21 @@ class Mesh
     void release(const Path &path, int owner);
 
     /** @return true if router @p c is free or owned by @p owner. */
-    bool nodeAvailable(const Coord &c, int owner) const;
+    bool
+    nodeAvailable(const Coord &c, int owner) const
+    {
+        int cur = node_owner[static_cast<size_t>(nodeIndexFast(c))];
+        return cur == no_owner || cur == owner;
+    }
 
     /** @return true if link a-b is free or owned by @p owner. */
-    bool linkAvailable(const Coord &a, const Coord &b, int owner) const;
+    bool
+    linkAvailable(const Coord &a, const Coord &b, int owner) const
+    {
+        int cur = link_owner[static_cast<size_t>(
+            linkIndexFast(nodeIndexFast(a), nodeIndexFast(b)))];
+        return cur == no_owner || cur == owner;
+    }
 
     /**
      * Mark router @p c permanently defective (idempotent).  Apply
@@ -211,13 +257,31 @@ class Mesh
     int linkIndex(const Coord &a, const Coord &b) const;
 
     /** Hot-path node index: bounds are debug-only assert()s. */
-    int nodeIndexFast(const Coord &c) const;
+    int
+    nodeIndexFast(const Coord &c) const
+    {
+        assert(contains(c) && "router outside the mesh");
+        return linearIndex(c, w);
+    }
 
     /**
      * Hot-path link index from the precomputed tables, given the two
      * endpoints' node indices; adjacency is a debug-only assert().
      */
-    int linkIndexFast(int ia, int ib) const;
+    int
+    linkIndexFast(int ia, int ib) const
+    {
+        int lo = std::min(ia, ib);
+        // Index distance 1 is a horizontal hop — except on a 1-wide
+        // mesh, where only vertical links exist.
+        int li = std::abs(ib - ia) == 1 && w > 1
+            ? right_link[static_cast<size_t>(lo)]
+            : down_link[static_cast<size_t>(lo)];
+        assert((std::abs(ib - ia) == 1 || std::abs(ib - ia) == w)
+               && "link endpoints not adjacent");
+        assert(li >= 0 && "link leaves the mesh");
+        return li;
+    }
 
     int w;
     int h;
@@ -238,6 +302,7 @@ class Mesh
     std::vector<int32_t> defect_nodes;
     std::vector<int32_t> defect_links;
 
+    int blocker_ = -1;
     int busy_links = 0;
     int peak_busy_links = 0;
     uint64_t ticks = 0;

@@ -57,9 +57,15 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
 {
     fatalIf(!mesh.contains(src) || !mesh.contains(dst),
             "route endpoint outside the mesh");
-    if (!mesh.nodeAvailable(src, owner)
-        || !mesh.nodeAvailable(dst, owner))
+    scratch.clearWitnesses();
+    if (!mesh.nodeAvailable(src, owner)) {
+        scratch.addWitness(mesh.nodeResource(src));
         return std::nullopt;
+    }
+    if (!mesh.nodeAvailable(dst, owner)) {
+        scratch.addWitness(mesh.nodeResource(dst));
+        return std::nullopt;
+    }
     if (src == dst)
         return Path{{src}};
 
@@ -76,11 +82,11 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
     frontier.push_back(idx(src));
     scratch.visit(idx(src), -1);
 
+    static constexpr std::array<Coord, 4> dirs{
+        {{1, 0}, {-1, 0}, {0, 1}, {0, -1}}};
     bool found = false;
     for (size_t head = 0; head < frontier.size() && !found; ++head) {
         Coord cur = fromLinearIndex(frontier[head], width);
-        static constexpr std::array<Coord, 4> dirs{
-            {{1, 0}, {-1, 0}, {0, 1}, {0, -1}}};
         for (const Coord &d : dirs) {
             Coord next{cur.x + d.x, cur.y + d.y};
             if (!mesh.contains(next) || scratch.seen(idx(next)))
@@ -96,8 +102,27 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
             frontier.push_back(idx(next));
         }
     }
-    if (!found)
+    if (!found) {
+        // The frontier now lists the whole explored region; every
+        // edge leaving it is blocked by its router or its link.
+        // Marking a blocked router seen records it once.
+        for (int32_t n : frontier) {
+            Coord cur = fromLinearIndex(n, width);
+            for (const Coord &d : dirs) {
+                Coord next{cur.x + d.x, cur.y + d.y};
+                if (!mesh.contains(next) || scratch.seen(idx(next)))
+                    continue;
+                int resource = mesh.linkResource(cur, next);
+                if (!mesh.nodeAvailable(next, owner)) {
+                    resource = mesh.nodeResource(next);
+                    scratch.visit(idx(next), -1);
+                }
+                if (!scratch.addWitness(resource))
+                    return std::nullopt;
+            }
+        }
         return std::nullopt;
+    }
 
     Path path;
     for (int c = idx(dst); c >= 0; c = scratch.prev(c))

@@ -9,6 +9,12 @@
  * and frontier arrays) lives in a caller-owned BfsScratch that is
  * epoch-stamped and reused: after the first search on a mesh, no
  * further allocations happen regardless of how many searches run.
+ *
+ * A failed search also leaves a failure witness in the scratch: the
+ * blocked resources on the boundary of the region it explored.  The
+ * region is closed — every edge leaving it is blocked — so while
+ * each witness stays held by someone else, the same search fails
+ * again, whatever else changed on the mesh.
  */
 
 #ifndef QSURF_NETWORK_ROUTE_H
@@ -100,6 +106,45 @@ class BfsScratch
     /** FIFO frontier of node indices (vector + read cursor). */
     std::vector<int32_t> &frontier() { return frontier_; }
 
+    /**
+     * Cap on the witnesses one failed search records; it bounds the
+     * memory a stalled owner's memo can hold.  The largest boundary
+     * on the IM-semi/SHA-1 d=15 contended sweep is 239 resources.
+     */
+    static constexpr size_t max_witnesses = 256;
+
+    /**
+     * @return the blocked boundary resources (Mesh resource ids) of
+     * the last failed search, or nothing when it succeeded or its
+     * boundary exceeded max_witnesses (see witnessOverflow()).
+     */
+    const std::vector<int32_t> &witnesses() const { return witnesses_; }
+
+    /** @return true when the last failed search's boundary held
+     *  more than max_witnesses blocked resources. */
+    bool witnessOverflow() const { return witness_overflow_; }
+
+    /** Forget the witness of the previous search. */
+    void
+    clearWitnesses()
+    {
+        witnesses_.clear();
+        witness_overflow_ = false;
+    }
+
+    /** Record a witness; @return false once past the cap. */
+    bool
+    addWitness(int32_t resource)
+    {
+        if (witnesses_.size() == max_witnesses) {
+            witnesses_.clear();
+            witness_overflow_ = true;
+            return false;
+        }
+        witnesses_.push_back(resource);
+        return true;
+    }
+
   private:
     int32_t *prev_ = nullptr;
     uint32_t *seen_ = nullptr;
@@ -108,6 +153,8 @@ class BfsScratch
     uint64_t arena_generation_ = 0;
     std::unique_ptr<char[]> heap_;
     std::vector<int32_t> frontier_;
+    std::vector<int32_t> witnesses_;
+    bool witness_overflow_ = false;
     uint32_t epoch_ = 0;
 };
 
@@ -121,7 +168,8 @@ class BfsScratch
  *                available (needed to re-route its own braid).
  * @param scratch caller-owned reusable working set.
  * @return a free path, or nullopt when src and dst are disconnected
- *         in the free subgraph.
+ *         in the free subgraph; the scratch then holds the failure
+ *         witness (BfsScratch::witnesses()).
  */
 std::optional<Path> adaptiveRoute(const Mesh &mesh, const Coord &src,
                                   const Coord &dst, int owner,

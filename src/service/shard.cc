@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -75,6 +76,19 @@ decodeDoneHex(const std::string &hex, std::vector<uint8_t> &done)
                 done[i] = 1;
         }
     }
+}
+
+/**
+ * Read @p v as an integral protocol count no larger than @p limit;
+ * fatal() on anything else (negative, fractional, out of range).
+ */
+size_t
+readCount(const JsonValue &v, const char *what, uint64_t limit)
+{
+    uint64_t out = 0;
+    fatalIf(!v.integer(out) || out > limit, "malformed ", what, " '",
+            v.str, "' (want an integer in [0, ", limit, "])");
+    return static_cast<size_t>(out);
 }
 
 /**
@@ -157,6 +171,16 @@ struct FleetGuard
 
 } // namespace
 
+size_t
+helloSlot(const std::string &payload, size_t width)
+{
+    fatalIf(width == 0, "no worker slot is open");
+    JsonValue doc = parseJson(payload);
+    const JsonValue *slot = doc.find("slot");
+    fatalIf(!slot, "tcp worker Hello names no slot");
+    return readCount(*slot, "tcp worker Hello slot", width - 1);
+}
+
 bool
 serveSweepWorker(int fd, const SweepWorkerEnv &env)
 {
@@ -197,29 +221,6 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
         }
         try {
             JsonValue doc = parseJson(frame.payload);
-            const JsonValue *workers = doc.find("workers");
-            const JsonValue *points = doc.find("points");
-            const JsonValue *residues = doc.find("residues");
-            fatalIf(!workers || !workers->isNumber() || !points
-                        || !points->isNumber() || !residues
-                        || !residues->isArray(),
-                    "malformed ShardAssign payload");
-            auto n = static_cast<size_t>(workers->num);
-            auto total = static_cast<size_t>(points->num);
-            fatalIf(n == 0, "ShardAssign names a fleet of 0");
-            std::vector<uint8_t> mask(n, 0);
-            for (const JsonValue &rv : residues->items) {
-                fatalIf(!rv.isNumber(),
-                        "malformed residue list in ShardAssign");
-                auto r_class = static_cast<size_t>(rv.num);
-                fatalIf(r_class >= n, "ShardAssign names residue ",
-                        r_class, " of ", n);
-                mask[r_class] = 1;
-            }
-            std::vector<uint8_t> done(total, 0);
-            if (const JsonValue *d = doc.find("done");
-                d && d->isString())
-                decodeDoneHex(d->str, done);
             if (!grid) {
                 const JsonValue *g = doc.find("grid");
                 fatalIf(!g || !g->isString(),
@@ -228,6 +229,31 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
                 decoded = wire::decodeSweepGrid(g->str);
                 grid = &decoded;
             }
+            const JsonValue *workers = doc.find("workers");
+            const JsonValue *points = doc.find("points");
+            const JsonValue *residues = doc.find("residues");
+            fatalIf(!workers || !points || !residues
+                        || !residues->isArray(),
+                    "malformed ShardAssign payload");
+            size_t n = readCount(*workers, "ShardAssign workers",
+                                 UINT64_MAX);
+            fatalIf(n == 0, "ShardAssign names a fleet of 0");
+            size_t total = readCount(*points, "ShardAssign points",
+                                     grid->points());
+            // Point i belongs to residue i % n, so a residue at or
+            // past the grid's point count selects nothing: the mask
+            // never needs more entries than the grid has points.
+            std::vector<uint8_t> mask(std::min(n, grid->points()), 0);
+            for (const JsonValue &rv : residues->items) {
+                size_t r_class =
+                    readCount(rv, "ShardAssign residue", n - 1);
+                if (r_class < mask.size())
+                    mask[r_class] = 1;
+            }
+            std::vector<uint8_t> done(total, 0);
+            if (const JsonValue *d = doc.find("done");
+                d && d->isString())
+                decodeDoneHex(d->str, done);
             // The assignment names what it believes this worker is
             // running; a mismatch means the processes disagree about
             // the experiment (codec drift, stale remote binary).
@@ -468,14 +494,9 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
             wire::IoResult r = wire::readFrame(cfd, hello);
             fatalIf(!r.ok() || hello.type != wire::FrameType::Hello,
                     "tcp worker connected without a Hello");
-            JsonValue doc = parseJson(hello.payload);
-            const JsonValue *slot = doc.find("slot");
-            fatalIf(!slot || !slot->isNumber(),
-                    "tcp worker Hello names no slot");
-            auto s = static_cast<size_t>(slot->num);
-            fatalIf(s >= n_local || fleet[s].fd >= 0,
-                    "tcp worker Hello names bogus slot ",
-                    slot->num);
+            size_t s = helloSlot(hello.payload, n_local);
+            fatalIf(fleet[s].fd >= 0,
+                    "two tcp workers claim slot ", s);
             fleet[s].fd = cfd;
         }
     } else {

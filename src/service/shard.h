@@ -196,6 +196,12 @@ struct SweepWorkerEnv
  */
 bool serveSweepWorker(int fd, const SweepWorkerEnv &env);
 
+/**
+ * @return the fleet slot a worker's Hello @p payload names; fatal()
+ * unless it is an integer below @p width.
+ */
+size_t helloSlot(const std::string &payload, size_t width);
+
 } // namespace qsurf::service
 
 #endif // QSURF_SERVICE_SHARD_H

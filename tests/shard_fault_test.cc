@@ -5,14 +5,17 @@
  * results stay byte-identical to a single-process run whether the
  * orphaned slice lands on a respawned worker or a survivor, and the
  * same holds when workers are remote TCP processes instead of forked
- * locals.
+ * locals.  Hostile protocol counts (a ShardAssign's fleet width, point
+ * count and residues, a Hello's slot) are errors, never crashes.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -272,6 +275,102 @@ TEST(ShardFault, DeadRemoteWorkerIsRedialedAndRejoins)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "remote worker exit status " << status;
+}
+
+/**
+ * Hand one ShardAssign carrying @p payload to a worker that holds
+ * faultGrid(); @return the frame that ends its answer (Done, Error,
+ * or the read failure's frame type).  A Done is acknowledged with a
+ * Shutdown so the worker exits cleanly.
+ */
+wire::FrameType
+answerTo(const std::string &payload)
+{
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    engine::SweepGrid grid = faultGrid();
+    std::thread worker([&] {
+        service::SweepWorkerEnv env;
+        env.grid = &grid;
+        env.base.num_threads = 1;
+        service::serveSweepWorker(fds[1], env);
+        ::close(fds[1]);
+    });
+    wire::Frame frame;
+    EXPECT_TRUE(wire::readFrame(fds[0], frame).ok());
+    EXPECT_EQ(frame.type, wire::FrameType::Hello);
+    EXPECT_TRUE(wire::writeFrame(fds[0], wire::FrameType::ShardAssign,
+                                 payload)
+                    .ok());
+    do {
+        if (!wire::readFrame(fds[0], frame).ok())
+            break;
+    } while (frame.type == wire::FrameType::Row);
+    if (frame.type == wire::FrameType::Done)
+        wire::writeFrame(fds[0], wire::FrameType::Shutdown, "");
+    // Closing our end first unblocks a worker still waiting to read.
+    ::close(fds[0]);
+    worker.join();
+    return frame.type;
+}
+
+std::string
+assignment(const std::string &workers, const std::string &points,
+           const std::string &residue)
+{
+    return "{\"worker\":0,\"workers\":" + workers
+         + ",\"points\":" + points + ",\"residues\":[" + residue
+         + "],\"done\":\"\"}";
+}
+
+TEST(ShardFault, HostileShardAssignCountsAreErrorsNotCrashes)
+{
+    setQuiet(true);
+    // Controls: a well-formed slice, and a fleet far wider than the
+    // grid, which must not size anything by its width.
+    EXPECT_EQ(answerTo(assignment("2", "12", "1")),
+              wire::FrameType::Done);
+    EXPECT_EQ(answerTo(assignment("1000000000000", "12",
+                                  "999999999999")),
+              wire::FrameType::Done);
+
+    const char *hostile[] = {"-1", "1.5", "1e300", "-0.5",
+                             "18446744073709551616", "\"2\""};
+    for (const char *v : hostile) {
+        EXPECT_EQ(answerTo(assignment(v, "12", "0")),
+                  wire::FrameType::Error)
+            << "workers " << v;
+        EXPECT_EQ(answerTo(assignment("2", v, "0")),
+                  wire::FrameType::Error)
+            << "points " << v;
+        EXPECT_EQ(answerTo(assignment("2", "12", v)),
+                  wire::FrameType::Error)
+            << "residue " << v;
+    }
+    // Out of range: an empty fleet, more points than the grid has
+    // (1e18 used to size a 1e18-byte bitmap), a residue of the
+    // fleet's own width.
+    EXPECT_EQ(answerTo(assignment("0", "12", "0")),
+              wire::FrameType::Error);
+    EXPECT_EQ(answerTo(assignment("2", "13", "0")),
+              wire::FrameType::Error);
+    EXPECT_EQ(answerTo(assignment("2", "1e18", "0")),
+              wire::FrameType::Error);
+    EXPECT_EQ(answerTo(assignment("2", "12", "2")),
+              wire::FrameType::Error);
+}
+
+TEST(ShardFault, HostileHelloSlotsAreErrorsNotCrashes)
+{
+    setQuiet(true);
+    EXPECT_EQ(service::helloSlot(R"({"slot":1})", 2), 1u);
+    for (const char *v : {"-1", "1.5", "1e300", "2", "\"0\"", "null"})
+        EXPECT_THROW(service::helloSlot(
+                         std::string(R"({"slot":)") + v + "}", 2),
+                     FatalError)
+            << v;
+    EXPECT_THROW(service::helloSlot("{}", 2), FatalError);
+    EXPECT_THROW(service::helloSlot(R"({"slot":0})", 0), FatalError);
 }
 
 } // namespace
