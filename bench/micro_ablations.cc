@@ -46,9 +46,10 @@ BM_AdaptiveRouteEmptyMesh(benchmark::State &state)
 {
     auto span = static_cast<int>(state.range(0));
     network::Mesh mesh(span + 1, span + 1);
+    network::BfsScratch scratch;
     for (auto _ : state) {
         auto p = network::adaptiveRoute(mesh, Coord{0, 0},
-                                        Coord{span, span}, 1);
+                                        Coord{span, span}, 1, scratch);
         benchmark::DoNotOptimize(p);
     }
 }

@@ -93,7 +93,7 @@ class Simulator
         : circ(circ), policy(policy), opts(opts), dag(prep.dag),
           graph(prep.graph), arch(prep.arch), mesh(arch.makeMesh()),
           claim_opts(makeClaimOptions(opts)),
-          claimer(mesh, claim_opts), crit(prep.crit),
+          claimer(mesh, claim_opts, circ.size()), crit(prep.crit),
           trace(opts.trace)
     {
         if (trace) {

@@ -166,7 +166,9 @@ class SmallVector
     void
     grow(size_t n)
     {
-        size_t cap = std::max(n, capacity_ * 2);
+        // Capacity never drops below N; saying so also keeps GCC's
+        // -Warray-bounds from assuming an empty allocation.
+        size_t cap = std::max({n, capacity_ * 2, N});
         T *fresh = static_cast<T *>(::operator new(cap * sizeof(T)));
         std::memcpy(static_cast<void *>(fresh), data_,
                     size_ * sizeof(T));

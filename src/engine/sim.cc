@@ -1,6 +1,7 @@
 #include "engine/sim.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/logging.h"
 #include "network/route.h"
@@ -10,10 +11,11 @@ namespace qsurf::engine {
 ClaimMemo::Slot *
 ClaimMemo::find(int owner, int32_t src, int32_t dst, bool yx_first)
 {
-    auto it = entries_.find(owner);
-    if (it == entries_.end())
+    assert(owner >= 0 && static_cast<size_t>(owner) < index_.size());
+    int32_t e = index_[static_cast<size_t>(owner)];
+    if (e < 0)
         return nullptr;
-    Entry &entry = it->second;
+    Entry &entry = pool_[static_cast<size_t>(e)];
     int used = std::min(entry.inserted, max_slots);
     for (int k = 0; k < used; ++k) {
         Slot &slot = entry.slots[static_cast<size_t>(k)];
@@ -27,19 +29,21 @@ ClaimMemo::find(int owner, int32_t src, int32_t dst, bool yx_first)
 ClaimMemo::Slot &
 ClaimMemo::insert(int owner, int32_t src, int32_t dst, bool yx_first)
 {
-    auto it = entries_.find(owner);
-    if (it == entries_.end()) {
-        if (spare_.empty()) {
-            it = entries_.try_emplace(owner).first;
+    panicIf(owner < 0 || static_cast<size_t>(owner) >= index_.size(),
+            "claim owner ", owner, " outside the memo's ",
+            index_.size(), " owners");
+    int32_t &e = index_[static_cast<size_t>(owner)];
+    if (e < 0) {
+        if (free_.empty()) {
+            e = static_cast<int32_t>(pool_.size());
+            pool_.emplace_back();
         } else {
-            Map::node_type node = std::move(spare_.back());
-            spare_.pop_back();
-            node.key() = owner;
-            node.mapped().inserted = 0;
-            it = entries_.insert(std::move(node)).position;
+            e = free_.back();
+            free_.pop_back();
         }
+        pool_[static_cast<size_t>(e)].inserted = 0;
     }
-    Entry &entry = it->second;
+    Entry &entry = pool_[static_cast<size_t>(e)];
     Slot &slot = entry.slots[static_cast<size_t>(entry.inserted++
                                                  % max_slots)];
     slot.src = src;
@@ -50,14 +54,6 @@ ClaimMemo::insert(int owner, int32_t src, int32_t dst, bool yx_first)
     slot.bfs_witnessed = false;
     slot.bfs_boundary.clear();
     return slot;
-}
-
-void
-ClaimMemo::erase(int owner)
-{
-    auto it = entries_.find(owner);
-    if (it != entries_.end())
-        spare_.push_back(entries_.extract(it));
 }
 
 template <typename Route, typename Suspends, typename Suspend>
@@ -147,9 +143,10 @@ RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
 {
     return escalate(
         owner, src, dst, wait, yx_first,
-        [&](bool fallback) {
-            return yx_first != fallback ? network::yxRoute(src, dst)
-                                        : network::xyRoute(src, dst);
+        [&](bool fallback) -> const network::Path & {
+            network::dimensionOrderedRoute(src, dst,
+                                           yx_first != fallback, route_);
+            return route_;
         },
         [](int, int) { return false; }, [](bool) {});
 }

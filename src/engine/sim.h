@@ -22,7 +22,6 @@
 #include <optional>
 #include <queue>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -327,9 +326,15 @@ fastForwardAfterStall(FastForward &ff, const ExpiryQueue &expiry,
  * tries up to three factories).  A slot holds the first blocker of
  * the primary route, that of the fallback route, and the BFS
  * boundary.  A boundary that outgrew BfsScratch::max_witnesses is
- * not kept, so that search is walked again.  An owner's entry is
- * erased when it places, so memory follows the stalled owners, not
- * the circuit size.
+ * not kept, so that search is walked again.
+ *
+ * Owners are op ids in [0, num_owners).  A flat index, sized once
+ * per run, maps each owner to an entry of a pool; an owner's entry
+ * returns to the pool's free list when it places, so entries follow
+ * the stalled owners, not the circuit size, and a recycled entry
+ * keeps its boundary vectors' capacity.  Like the ready queue, the
+ * index and the pool come from the thread's scratch arena when one
+ * is bound at construction (the memo lives for one run).
  */
 class ClaimMemo
 {
@@ -351,6 +356,12 @@ class ClaimMemo
     /** Destinations remembered per owner. */
     static constexpr int max_slots = 3;
 
+    /** A memo for owner ids in [0, @p num_owners). */
+    explicit ClaimMemo(int num_owners)
+        : index_(static_cast<size_t>(num_owners), -1)
+    {
+    }
+
     /** @return @p owner's slot for the key, or null. */
     Slot *find(int owner, int32_t src, int32_t dst, bool yx_first);
 
@@ -361,10 +372,18 @@ class ClaimMemo
     Slot &insert(int owner, int32_t src, int32_t dst, bool yx_first);
 
     /** Forget everything about @p owner. */
-    void erase(int owner);
+    void
+    erase(int owner)
+    {
+        int32_t &e = index_[static_cast<size_t>(owner)];
+        if (e >= 0) {
+            free_.push_back(e);
+            e = -1;
+        }
+    }
 
     /** @return owners with at least one slot. */
-    size_t owners() const { return entries_.size(); }
+    size_t owners() const { return pool_.size() - free_.size(); }
 
   private:
     struct Entry
@@ -373,14 +392,10 @@ class ClaimMemo
         int inserted = 0; ///< Slots opened; the oldest is replaced.
     };
 
-    using Map = std::unordered_map<int, Entry>;
-
-    Map entries_;
-
-    /** Erased owners' map nodes, reused by the next insert(): they
-     *  keep their boundary vectors' capacity, so a steady stream of
-     *  stalls does not allocate. */
-    std::vector<Map::node_type> spare_;
+    /** Pool entry per owner id; -1 when the owner has none. */
+    std::vector<int32_t, ArenaAllocator<int32_t>> index_;
+    std::vector<Entry, ArenaAllocator<Entry>> pool_;
+    std::vector<int32_t> free_; ///< Unused pool entries.
 };
 
 /**
@@ -418,9 +433,9 @@ class EscalatingClaimer
     uint64_t witnessedFailures() const { return witnessed_failures_; }
 
   protected:
-    EscalatingClaimer(network::Mesh &mesh,
-                      const RouteClaimOptions &opts)
-        : mesh_(mesh), opts_(opts)
+    EscalatingClaimer(network::Mesh &mesh, const RouteClaimOptions &opts,
+                      int num_owners)
+        : mesh_(mesh), opts_(opts), memo_(num_owners)
     {
     }
 
@@ -461,8 +476,10 @@ class EscalatingClaimer
 class RouteClaimer : public EscalatingClaimer
 {
   public:
-    RouteClaimer(network::Mesh &mesh, const RouteClaimOptions &opts)
-        : EscalatingClaimer(mesh, opts)
+    /** A claimer for owner ids in [0, @p num_owners). */
+    RouteClaimer(network::Mesh &mesh, const RouteClaimOptions &opts,
+                 int num_owners)
+        : EscalatingClaimer(mesh, opts, num_owners)
     {
     }
 
@@ -479,6 +496,10 @@ class RouteClaimer : public EscalatingClaimer
     std::optional<network::Path> tryClaim(const Coord &src,
                                           const Coord &dst, int owner,
                                           int wait, bool yx_first);
+
+  private:
+    /** The walked dimension-ordered route, rebuilt in place. */
+    network::Path route_;
 };
 
 /**
@@ -499,8 +520,10 @@ class RouteClaimer : public EscalatingClaimer
 class ChainClaimer : public EscalatingClaimer
 {
   public:
-    ChainClaimer(network::Mesh &mesh, const RouteClaimOptions &opts)
-        : EscalatingClaimer(mesh, opts),
+    /** A claimer for owner ids in [0, @p num_owners). */
+    ChainClaimer(network::Mesh &mesh, const RouteClaimOptions &opts,
+                 int num_owners)
+        : EscalatingClaimer(mesh, opts, num_owners),
           reserved_(static_cast<size_t>(mesh.numNodes()), -1)
     {
     }

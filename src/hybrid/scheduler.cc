@@ -211,7 +211,7 @@ class Simulator
         : circ(circ), opts(opts), dag(prep.dag), graph(prep.graph),
           arch(prep.arch), mesh(arch.makeMesh()),
           claim_opts(makeClaimOptions(opts)),
-          claimer(mesh, claim_opts), corridors(arch),
+          claimer(mesh, claim_opts, circ.size()), corridors(arch),
           arbiter(makeArbiter(opts.arbiter, makeCosts(opts))),
           channels(channelSlots(opts, arch)), crit(prep.crit),
           trace(opts.trace)

@@ -12,22 +12,31 @@ Mesh::Mesh(int width, int height)
 {
     fatalIf(w < 1 || h < 1, "mesh must be at least 1x1, got ", w, "x",
             h);
-    node_owner.assign(static_cast<size_t>(w * h), no_owner);
     // Horizontal links first ((w-1) per row), then vertical.
-    link_owner.assign(static_cast<size_t>((w - 1) * h + w * (h - 1)),
-                      no_owner);
+    num_links = (w - 1) * h + w * (h - 1);
+    owner_.assign(static_cast<size_t>(numResources()), no_owner);
 
-    // Per-node link tables: the hot path never recomputes a link
-    // index from coordinates.
-    right_link.assign(static_cast<size_t>(w * h), -1);
-    down_link.assign(static_cast<size_t>(w * h), -1);
+    // Neighbour tables: the hot paths never recompute a neighbour or
+    // a link id from coordinates.  Entries hold indices, not
+    // pointers, so a copied mesh stays correct.
+    int n = numNodes();
+    neighbors_.assign(static_cast<size_t>(n) * 4, Neighbor{});
+    auto at = [this](int node, Direction d) -> Neighbor & {
+        return neighbors_[static_cast<size_t>(node) * 4 + d];
+    };
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
-            auto n = static_cast<size_t>(y * w + x);
-            if (x < w - 1)
-                right_link[n] = y * (w - 1) + x;
-            if (y < h - 1)
-                down_link[n] = (w - 1) * h + y * w + x;
+            int i = y * w + x;
+            if (x < w - 1) {
+                int link = n + y * (w - 1) + x;
+                at(i, east) = {i + 1, link};
+                at(i + 1, west) = {i, link};
+            }
+            if (y < h - 1) {
+                int link = n + (w - 1) * h + y * w + x;
+                at(i, south) = {i + w, link};
+                at(i + w, north) = {i, link};
+            }
         }
     }
 }
@@ -54,60 +63,39 @@ Mesh::linkIndex(const Coord &a, const Coord &b) const
 int
 Mesh::nodeOwner(const Coord &c) const
 {
-    return node_owner[static_cast<size_t>(nodeIndex(c))];
+    return resourceOwner(nodeIndex(c));
 }
 
 int
 Mesh::linkOwner(const Coord &a, const Coord &b) const
 {
-    return link_owner[static_cast<size_t>(linkIndex(a, b))];
+    return resourceOwner(numNodes() + linkIndex(a, b));
 }
 
 void
 Mesh::disableNode(const Coord &c)
 {
-    auto &slot = node_owner[static_cast<size_t>(nodeIndex(c))];
+    int r = nodeIndex(c);
+    auto &slot = owner_[static_cast<size_t>(r)];
     if (slot == defect_owner)
         return;
     panicIf(slot != no_owner,
             "cannot disable claimed router ", c.x, ",", c.y);
     slot = defect_owner;
-    defect_nodes.push_back(
-        static_cast<int32_t>(nodeIndex(c)));
+    defects.push_back(r);
+    ++defective_nodes;
 }
 
 void
 Mesh::disableLink(const Coord &a, const Coord &b)
 {
-    int li = linkIndex(a, b);
-    auto &slot = link_owner[static_cast<size_t>(li)];
+    int r = numNodes() + linkIndex(a, b);
+    auto &slot = owner_[static_cast<size_t>(r)];
     if (slot == defect_owner)
         return;
     panicIf(slot != no_owner, "cannot disable a claimed link");
     slot = defect_owner;
-    defect_links.push_back(static_cast<int32_t>(li));
-}
-
-bool
-Mesh::routeFree(const Path &path, int owner) const
-{
-    if (path.empty())
-        return true;
-    int prev = -1;
-    for (const Coord &c : path.nodes) {
-        int ni = nodeIndexFast(c);
-        int cur = node_owner[static_cast<size_t>(ni)];
-        if (cur != no_owner && cur != owner)
-            return false;
-        if (prev >= 0) {
-            int li = linkIndexFast(prev, ni);
-            cur = link_owner[static_cast<size_t>(li)];
-            if (cur != no_owner && cur != owner)
-                return false;
-        }
-        prev = ni;
-    }
-    return true;
+    defects.push_back(r);
 }
 
 bool
@@ -115,36 +103,32 @@ Mesh::tryClaim(const Path &path, int owner)
 {
     assert(owner != no_owner && "cannot claim with the no-owner id");
 
-    // Single traversal: validate while recording every index the
-    // claim will touch, so success never re-derives them.
-    walk_nodes.clear();
-    walk_links.clear();
+    // Single traversal: validate while recording every resource id
+    // the claim will touch, so success never re-derives them.
+    walk_.clear();
     int prev = -1;
     for (const Coord &c : path.nodes) {
         int ni = nodeIndexFast(c);
-        int cur = node_owner[static_cast<size_t>(ni)];
-        if (cur != no_owner && cur != owner) {
+        if (!resourceAvailable(ni, owner)) {
             blocker_ = ni;
             return false;
         }
         if (prev >= 0) {
-            int li = linkIndexFast(prev, ni);
-            cur = link_owner[static_cast<size_t>(li)];
-            if (cur != no_owner && cur != owner) {
-                blocker_ = numNodes() + li;
+            int li = linkResourceFast(prev, ni);
+            if (!resourceAvailable(li, owner)) {
+                blocker_ = li;
                 return false;
             }
-            walk_links.push_back(li);
+            walk_.push_back(li);
         }
-        walk_nodes.push_back(ni);
+        walk_.push_back(ni);
         prev = ni;
     }
 
-    for (int32_t ni : walk_nodes)
-        node_owner[static_cast<size_t>(ni)] = owner;
-    for (int32_t li : walk_links) {
-        auto &slot = link_owner[static_cast<size_t>(li)];
-        if (slot == no_owner)
+    int n = numNodes();
+    for (int32_t r : walk_) {
+        auto &slot = owner_[static_cast<size_t>(r)];
+        if (r >= n && slot == no_owner)
             ++busy_links;
         slot = owner;
     }
@@ -172,12 +156,12 @@ Mesh::release(const Path &path, int owner)
     int prev = -1;
     for (const Coord &c : path.nodes) {
         int ni = nodeIndexFast(c);
-        auto &node = node_owner[static_cast<size_t>(ni)];
+        auto &node = owner_[static_cast<size_t>(ni)];
         if (node == owner)
             node = no_owner;
         if (prev >= 0) {
-            auto &link = link_owner[static_cast<size_t>(
-                linkIndexFast(prev, ni))];
+            auto &link =
+                owner_[static_cast<size_t>(linkResourceFast(prev, ni))];
             if (link == owner) {
                 link = no_owner;
                 --busy_links;
@@ -199,13 +183,10 @@ Mesh::utilization() const
 void
 Mesh::reset()
 {
-    std::fill(node_owner.begin(), node_owner.end(), no_owner);
-    std::fill(link_owner.begin(), link_owner.end(), no_owner);
+    std::fill(owner_.begin(), owner_.end(), no_owner);
     // Damage is permanent: a reset clears ownership, not physics.
-    for (int32_t ni : defect_nodes)
-        node_owner[static_cast<size_t>(ni)] = defect_owner;
-    for (int32_t li : defect_links)
-        link_owner[static_cast<size_t>(li)] = defect_owner;
+    for (int32_t r : defects)
+        owner_[static_cast<size_t>(r)] = defect_owner;
     busy_links = 0;
     peak_busy_links = 0;
     ticks = 0;

@@ -11,12 +11,13 @@
  * channels: a node or link has at most one owner.
  *
  * The claim/release path is the simulators' innermost loop, so it is
- * allocation-free: Path keeps short routes in inline storage,
- * link indices come from tables precomputed at construction, and
- * tryClaim() walks a route once, validating and recording indices in
- * a single traversal instead of the routeFree-then-claim double walk.
- * Per-coordinate validity checks on the hot entries (tryClaim,
- * release, routeFree, the *Available queries) are debug-only
+ * allocation-free and index-based: Path keeps short routes in inline
+ * storage, every router and link has a resource id and one owner
+ * table holds them all, per-router neighbour tables built at
+ * construction give each neighbour's router and link id, and
+ * tryClaim() walks a route once, validating and recording ids in a
+ * single traversal.  Per-coordinate validity checks on the hot
+ * entries (tryClaim, release, the resource-id queries) are debug-only
  * assert()s — callers own path validity there; the checked panics
  * remain on the cold claim() entry.
  */
@@ -67,6 +68,25 @@ class Mesh
     static constexpr int no_owner = -1;
 
     /**
+     * One neighbour of a router.  Each router has four, in the
+     * adaptive search's expansion order: east, west, south, north.
+     */
+    struct Neighbor
+    {
+        int32_t node = -1; ///< Router index; -1 off the mesh.
+        int32_t link = -1; ///< Link resource id; -1 off the mesh.
+    };
+
+    /** Neighbour directions, in expansion order. */
+    enum Direction : int
+    {
+        east = 0,
+        west = 1,
+        south = 2,
+        north = 3,
+    };
+
+    /**
      * Permanent-defect sentinel.  A defective node or link carries
      * this owner forever: every availability check, tryClaim() walk
      * and BFS expansion sees it as "held by someone else" (real
@@ -84,7 +104,10 @@ class Mesh
     int numNodes() const { return w * h; }
 
     /** @return total links. */
-    int numLinks() const { return static_cast<int>(link_owner.size()); }
+    int numLinks() const { return num_links; }
+
+    /** @return total resource ids: routers, then links. */
+    int numResources() const { return numNodes() + num_links; }
 
     /** @return true when @p c is a valid router coordinate. */
     bool
@@ -93,17 +116,18 @@ class Mesh
         return c.x >= 0 && c.x < w && c.y >= 0 && c.y < h;
     }
 
+    /** @return the linear index of router @p c; panic()s outside. */
+    int nodeIndex(const Coord &c) const;
+
+    /** @return the index of link a-b; panic()s unless adjacent
+     *  routers on the mesh. */
+    int linkIndex(const Coord &a, const Coord &b) const;
+
     /** @return owner of router @p c, or no_owner. */
     int nodeOwner(const Coord &c) const;
 
     /** @return owner of the link a-b (must be adjacent routers). */
     int linkOwner(const Coord &a, const Coord &b) const;
-
-    /**
-     * @return true when every node and link of @p path is free or
-     * already owned by @p owner.
-     */
-    bool routeFree(const Path &path, int owner) const;
 
     /**
      * Walk @p path once: validate that every node and link is free
@@ -117,7 +141,8 @@ class Mesh
     /**
      * Resource ids name every node and link in one space: router
      * @p c is its linear index, link a-b is numNodes() plus the link
-     * index.  Failure witnesses (blocker(), BfsScratch) use them.
+     * index.  The owner table, the neighbour tables and the failure
+     * witnesses (blocker(), BfsScratch) all use them.
      */
     int nodeResource(const Coord &c) const { return nodeIndexFast(c); }
 
@@ -125,17 +150,33 @@ class Mesh
     int
     linkResource(const Coord &a, const Coord &b) const
     {
-        return numNodes()
-            + linkIndexFast(nodeIndexFast(a), nodeIndexFast(b));
+        return linkResourceFast(nodeIndexFast(a), nodeIndexFast(b));
     }
 
     /** @return the owner of resource id @p resource. */
     int
     resourceOwner(int resource) const
     {
-        return resource < numNodes()
-            ? node_owner[static_cast<size_t>(resource)]
-            : link_owner[static_cast<size_t>(resource - numNodes())];
+        return owner_[static_cast<size_t>(resource)];
+    }
+
+    /** @return true if resource @p resource is free or owned by
+     *  @p owner. */
+    bool
+    resourceAvailable(int resource, int owner) const
+    {
+        int cur = resourceOwner(resource);
+        return cur == no_owner || cur == owner;
+    }
+
+    /**
+     * @return the four neighbours of router index @p node, in
+     * expansion order (see Direction).
+     */
+    const Neighbor *
+    neighbors(int node) const
+    {
+        return &neighbors_[static_cast<size_t>(node) * 4];
     }
 
     /** @return the resource id that failed the last tryClaim(). */
@@ -150,23 +191,6 @@ class Mesh
 
     /** Release every node and link of @p path owned by @p owner. */
     void release(const Path &path, int owner);
-
-    /** @return true if router @p c is free or owned by @p owner. */
-    bool
-    nodeAvailable(const Coord &c, int owner) const
-    {
-        int cur = node_owner[static_cast<size_t>(nodeIndexFast(c))];
-        return cur == no_owner || cur == owner;
-    }
-
-    /** @return true if link a-b is free or owned by @p owner. */
-    bool
-    linkAvailable(const Coord &a, const Coord &b, int owner) const
-    {
-        int cur = link_owner[static_cast<size_t>(
-            linkIndexFast(nodeIndexFast(a), nodeIndexFast(b)))];
-        return cur == no_owner || cur == owner;
-    }
 
     /**
      * Mark router @p c permanently defective (idempotent).  Apply
@@ -193,17 +217,13 @@ class Mesh
     }
 
     /** @return permanently defective routers. */
-    int
-    numDefectiveNodes() const
-    {
-        return static_cast<int>(defect_nodes.size());
-    }
+    int numDefectiveNodes() const { return defective_nodes; }
 
     /** @return permanently defective links. */
     int
     numDefectiveLinks() const
     {
-        return static_cast<int>(defect_links.size());
+        return static_cast<int>(defects.size()) - defective_nodes;
     }
 
     /** Advance time one cycle, accumulating busy-link statistics. */
@@ -253,9 +273,6 @@ class Mesh
     void reset();
 
   private:
-    int nodeIndex(const Coord &c) const;
-    int linkIndex(const Coord &a, const Coord &b) const;
-
     /** Hot-path node index: bounds are debug-only assert()s. */
     int
     nodeIndexFast(const Coord &c) const
@@ -265,42 +282,41 @@ class Mesh
     }
 
     /**
-     * Hot-path link index from the precomputed tables, given the two
-     * endpoints' node indices; adjacency is a debug-only assert().
+     * Hot-path link resource id from the neighbour tables, given the
+     * two endpoints' node indices; adjacency is a debug-only
+     * assert().
      */
     int
-    linkIndexFast(int ia, int ib) const
+    linkResourceFast(int ia, int ib) const
     {
         int lo = std::min(ia, ib);
         // Index distance 1 is a horizontal hop — except on a 1-wide
         // mesh, where only vertical links exist.
-        int li = std::abs(ib - ia) == 1 && w > 1
-            ? right_link[static_cast<size_t>(lo)]
-            : down_link[static_cast<size_t>(lo)];
+        int dir = std::abs(ib - ia) == 1 && w > 1 ? east : south;
+        int r = neighbors(lo)[dir].link;
         assert((std::abs(ib - ia) == 1 || std::abs(ib - ia) == w)
                && "link endpoints not adjacent");
-        assert(li >= 0 && "link leaves the mesh");
-        return li;
+        assert(r >= 0 && "link leaves the mesh");
+        return r;
     }
 
     int w;
     int h;
-    std::vector<int> node_owner;
-    std::vector<int> link_owner;
+    int num_links;
 
-    /** Link index of the +x link of each node (-1 on the edge). */
-    std::vector<int32_t> right_link;
+    /** Owner of every resource id: routers, then links. */
+    std::vector<int> owner_;
 
-    /** Link index of the +y link of each node (-1 on the edge). */
-    std::vector<int32_t> down_link;
+    /** Four Neighbor entries per router, in Direction order. */
+    std::vector<Neighbor> neighbors_;
 
-    /** tryClaim() scratch: indices recorded by the validation walk. */
-    std::vector<int32_t> walk_nodes;
-    std::vector<int32_t> walk_links;
+    /** tryClaim() scratch: resource ids recorded by the validation
+     *  walk, routers and links interleaved. */
+    std::vector<int32_t> walk_;
 
-    /** Defective resource indices, re-applied by reset(). */
-    std::vector<int32_t> defect_nodes;
-    std::vector<int32_t> defect_links;
+    /** Defective resource ids, re-applied by reset(). */
+    std::vector<int32_t> defects;
+    int defective_nodes = 0;
 
     int blocker_ = -1;
     int busy_links = 0;

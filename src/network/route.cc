@@ -1,7 +1,6 @@
 #include "network/route.h"
 
 #include <algorithm>
-#include <array>
 
 #include "common/logging.h"
 
@@ -31,13 +30,26 @@ walkY(Path &path, Coord from, int to_y)
 
 } // namespace
 
+void
+dimensionOrderedRoute(const Coord &src, const Coord &dst, bool yx,
+                      Path &out)
+{
+    out.nodes.clear();
+    out.nodes.push_back(src);
+    if (yx) {
+        walkY(out, src, dst.y);
+        walkX(out, Coord{src.x, dst.y}, dst.x);
+    } else {
+        walkX(out, src, dst.x);
+        walkY(out, Coord{dst.x, src.y}, dst.y);
+    }
+}
+
 Path
 xyRoute(const Coord &src, const Coord &dst)
 {
     Path path;
-    path.nodes.push_back(src);
-    walkX(path, src, dst.x);
-    walkY(path, Coord{dst.x, src.y}, dst.y);
+    dimensionOrderedRoute(src, dst, false, path);
     return path;
 }
 
@@ -45,9 +57,7 @@ Path
 yxRoute(const Coord &src, const Coord &dst)
 {
     Path path;
-    path.nodes.push_back(src);
-    walkY(path, src, dst.y);
-    walkX(path, Coord{src.x, dst.y}, dst.x);
+    dimensionOrderedRoute(src, dst, true, path);
     return path;
 }
 
@@ -58,64 +68,61 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
     fatalIf(!mesh.contains(src) || !mesh.contains(dst),
             "route endpoint outside the mesh");
     scratch.clearWitnesses();
-    if (!mesh.nodeAvailable(src, owner)) {
-        scratch.addWitness(mesh.nodeResource(src));
+    int s = mesh.nodeResource(src);
+    int d = mesh.nodeResource(dst);
+    if (!mesh.resourceAvailable(s, owner)) {
+        scratch.addWitness(s);
         return std::nullopt;
     }
-    if (!mesh.nodeAvailable(dst, owner)) {
-        scratch.addWitness(mesh.nodeResource(dst));
+    if (!mesh.resourceAvailable(d, owner)) {
+        scratch.addWitness(d);
         return std::nullopt;
     }
-    if (src == dst)
+    if (s == d)
         return Path{{src}};
 
     // BFS over free routers/links.  Expansion order (east, west,
-    // south, north; first-found wins) is part of the deterministic
-    // results contract — it must not change.
-    int width = mesh.width();
-    auto idx = [width](const Coord &c) {
-        return linearIndex(c, width);
-    };
-
+    // south, north — the neighbour tables' order; first-found wins)
+    // is part of the deterministic results contract — it must not
+    // change.
     scratch.beginSearch(mesh.numNodes());
     std::vector<int32_t> &frontier = scratch.frontier();
-    frontier.push_back(idx(src));
-    scratch.visit(idx(src), -1);
+    frontier.push_back(s);
+    scratch.visit(s, -1);
 
-    static constexpr std::array<Coord, 4> dirs{
-        {{1, 0}, {-1, 0}, {0, 1}, {0, -1}}};
     bool found = false;
     for (size_t head = 0; head < frontier.size() && !found; ++head) {
-        Coord cur = fromLinearIndex(frontier[head], width);
-        for (const Coord &d : dirs) {
-            Coord next{cur.x + d.x, cur.y + d.y};
-            if (!mesh.contains(next) || scratch.seen(idx(next)))
+        int cur = frontier[head];
+        const Mesh::Neighbor *nb = mesh.neighbors(cur);
+        for (int k = 0; k < 4; ++k) {
+            int next = nb[k].node;
+            if (next < 0 || scratch.seen(next))
                 continue;
-            if (!mesh.nodeAvailable(next, owner)
-                || !mesh.linkAvailable(cur, next, owner))
+            if (!mesh.resourceAvailable(next, owner)
+                || !mesh.resourceAvailable(nb[k].link, owner))
                 continue;
-            scratch.visit(idx(next), idx(cur));
-            if (next == dst) {
+            scratch.visit(next, cur);
+            if (next == d) {
                 found = true;
                 break;
             }
-            frontier.push_back(idx(next));
+            frontier.push_back(next);
         }
     }
     if (!found) {
         // The frontier now lists the whole explored region; every
         // edge leaving it is blocked by its router or its link.
         // Marking a blocked router seen records it once.
-        for (int32_t n : frontier) {
-            Coord cur = fromLinearIndex(n, width);
-            for (const Coord &d : dirs) {
-                Coord next{cur.x + d.x, cur.y + d.y};
-                if (!mesh.contains(next) || scratch.seen(idx(next)))
+        for (int32_t cur : frontier) {
+            const Mesh::Neighbor *nb = mesh.neighbors(cur);
+            for (int k = 0; k < 4; ++k) {
+                int next = nb[k].node;
+                if (next < 0 || scratch.seen(next))
                     continue;
-                int resource = mesh.linkResource(cur, next);
-                if (!mesh.nodeAvailable(next, owner)) {
-                    resource = mesh.nodeResource(next);
-                    scratch.visit(idx(next), -1);
+                int resource = nb[k].link;
+                if (!mesh.resourceAvailable(next, owner)) {
+                    resource = next;
+                    scratch.visit(next, -1);
                 }
                 if (!scratch.addWitness(resource))
                     return std::nullopt;
@@ -125,18 +132,10 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
     }
 
     Path path;
-    for (int c = idx(dst); c >= 0; c = scratch.prev(c))
-        path.nodes.push_back(fromLinearIndex(c, width));
+    for (int c = d; c >= 0; c = scratch.prev(c))
+        path.nodes.push_back(fromLinearIndex(c, mesh.width()));
     std::reverse(path.nodes.begin(), path.nodes.end());
     return path;
-}
-
-std::optional<Path>
-adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
-              int owner)
-{
-    BfsScratch scratch;
-    return adaptiveRoute(mesh, src, dst, owner, scratch);
 }
 
 } // namespace qsurf::network

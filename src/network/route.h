@@ -31,6 +31,14 @@
 
 namespace qsurf::network {
 
+/**
+ * Build the dimension-ordered path from src to dst into @p out,
+ * Y-then-X when @p yx, else X-then-Y.  Reusing one @p out keeps
+ * repeated walks allocation-free.
+ */
+void dimensionOrderedRoute(const Coord &src, const Coord &dst, bool yx,
+                           Path &out);
+
 /** @return the X-then-Y dimension-ordered path from src to dst. */
 Path xyRoute(const Coord &src, const Coord &dst);
 
@@ -159,7 +167,9 @@ class BfsScratch
 };
 
 /**
- * Shortest path through currently-free resources, found by BFS.
+ * Shortest path through currently-free resources, found by BFS over
+ * the mesh's neighbour tables (expansion order east, west, south,
+ * north; the first path found wins).
  *
  * @param mesh    the mesh with current ownership state.
  * @param src     source router.
@@ -174,10 +184,6 @@ class BfsScratch
 std::optional<Path> adaptiveRoute(const Mesh &mesh, const Coord &src,
                                   const Coord &dst, int owner,
                                   BfsScratch &scratch);
-
-/** Convenience overload allocating a one-shot scratch. */
-std::optional<Path> adaptiveRoute(const Mesh &mesh, const Coord &src,
-                                  const Coord &dst, int owner);
 
 } // namespace qsurf::network
 

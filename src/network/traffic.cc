@@ -84,6 +84,8 @@ runTraffic(int width, int height, const TrafficOptions &opts)
         active;
     std::vector<Path> routes;
     double total_wait = 0;
+    BfsScratch scratch;
+    Path path;
 
     for (uint64_t cycle = 0; cycle < opts.cycles; ++cycle) {
         // Release expired routes.
@@ -113,19 +115,19 @@ runTraffic(int width, int height, const TrafficOptions &opts)
         while (scan < pending.size()
                && attempts < opts.max_attempts_per_cycle) {
             const Request &req = pending[scan];
+            // A fresh id holds nothing, so a failed claim leaves the
+            // mesh as it was and a found detour is free to claim.
             int id = static_cast<int>(routes.size());
-            Path path = xyRoute(req.src, req.dst);
-            bool placed = mesh.routeFree(path, id);
+            dimensionOrderedRoute(req.src, req.dst, false, path);
+            bool placed = mesh.tryClaim(path, id);
             if (!placed) {
-                auto detour =
-                    adaptiveRoute(mesh, req.src, req.dst, id);
-                if (detour) {
-                    path = *detour;
-                    placed = true;
+                if (auto detour = adaptiveRoute(mesh, req.src, req.dst,
+                                                id, scratch)) {
+                    path = std::move(*detour);
+                    placed = mesh.tryClaim(path, id);
                 }
             }
             if (placed) {
-                mesh.claim(path, id);
                 routes.push_back(std::move(path));
                 active.emplace(
                     cycle + static_cast<uint64_t>(opts.hold_cycles),

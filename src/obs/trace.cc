@@ -86,6 +86,7 @@ trackOf(const TraceEvent &e)
                                  e.a, 0, 3));
       case EventKind::OpReady:
       case EventKind::OpRetire:
+      case EventKind::ArbiterDecision:
         return track_lifecycle;
       case EventKind::RouteClaim:
       case EventKind::RouteFallback:

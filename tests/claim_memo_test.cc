@@ -157,7 +157,7 @@ runRouteSequence(uint64_t seed, int width, int height, int n_owners,
     Rng rng(seed);
     Mesh mesh(width, height);
     damage(mesh, rng, width * height / 20, width * height / 15, {});
-    RouteClaimer claimer(mesh, claim_opts);
+    RouteClaimer claimer(mesh, claim_opts, n_owners);
     std::vector<Owner> pool;
     for (int k = 0; k < n_owners; ++k)
         pool.push_back(newRouteRequest(rng, mesh));
@@ -184,7 +184,7 @@ runRouteSequence(uint64_t seed, int width, int height, int n_owners,
             o.yx_first = !o.yx_first;
         for (const Coord &dst : candidates(o, rng)) {
             Mesh copy = mesh;
-            RouteClaimer fresh(copy, claim_opts);
+            RouteClaimer fresh(copy, claim_opts, n_owners);
             auto want =
                 fresh.tryClaim(o.src, dst, id, o.wait, o.yx_first);
             auto got =
@@ -300,7 +300,7 @@ runChainSequence(uint64_t seed, int width, int height,
     }
     damage(mesh, rng, width * height / 25, width * height / 15,
            terminals);
-    ChainClaimer claimer(mesh, claim_opts);
+    ChainClaimer claimer(mesh, claim_opts, n_owners);
     std::vector<int> sentinels;
     for (const Coord &t : terminals) {
         claimer.reserveTerminal(t);
@@ -332,7 +332,7 @@ runChainSequence(uint64_t seed, int width, int height,
             Path primary = network::xyRoute(o.src, dst);
             Path fallback = network::yxRoute(o.src, dst);
             Mesh copy = mesh;
-            ChainClaimer fresh(copy, claim_opts);
+            ChainClaimer fresh(copy, claim_opts, n_owners);
             reserveLike(fresh, copy, terminals, sentinels);
             auto want = fresh.tryClaim(primary, fallback, id, o.wait);
             auto got = claimer.tryClaim(primary, fallback, id, o.wait);
@@ -387,7 +387,7 @@ TEST(ClaimMemo, OwnEndpointSentinelIsNotAWitness)
     // Terminals A and B; another owner's chain holds A when owner 1
     // first tries A -> B, so A (its own endpoint) is the witness.
     Mesh mesh(6, 3);
-    ChainClaimer claimer(mesh, claim_opts);
+    ChainClaimer claimer(mesh, claim_opts, /*num_owners=*/8);
     Coord a{0, 1};
     Coord b{5, 1};
     Coord c{0, 0};
@@ -479,7 +479,7 @@ TEST(ClaimMemo, OverflowedSearchIsWalkedAgain)
     Mesh mesh(3, rows);
     for (int y = 0; y < rows; ++y)
         mesh.claim(single(Coord{1, y}), 1);
-    RouteClaimer claimer(mesh, claim_opts);
+    RouteClaimer claimer(mesh, claim_opts, /*num_owners=*/3);
     int wait = claim_opts.bfs_timeout;
     EXPECT_FALSE(
         claimer.tryClaim(Coord{0, 0}, Coord{2, 0}, 2, wait, false));

@@ -190,7 +190,7 @@ TEST(PatchArch, TransposeFallbackRelievesCollinearCollision)
         archWith(16, partition::LayoutObjective::BraidManhattan);
     network::Mesh mesh = arch.makeMesh();
     engine::RouteClaimOptions copts;
-    engine::ChainClaimer claimer(mesh, copts);
+    engine::ChainClaimer claimer(mesh, copts, /*num_owners=*/2);
     for (const Coord &t : arch.reservedTerminals())
         claimer.reserveTerminal(t);
 
@@ -435,7 +435,7 @@ TEST(ChainClaimer, ContendingChainsSerializeOnSharedCorridor)
     PatchArch arch = fourQubitArch();
     network::Mesh mesh = arch.makeMesh();
     engine::RouteClaimOptions copts;
-    engine::ChainClaimer claimer(mesh, copts);
+    engine::ChainClaimer claimer(mesh, copts, /*num_owners=*/2);
     for (const Coord &t : arch.reservedTerminals())
         claimer.reserveTerminal(t);
 
@@ -467,7 +467,7 @@ TEST(ChainClaimer, ReleaseRestoresPatchReservations)
     PatchArch arch = fourQubitArch();
     network::Mesh mesh = arch.makeMesh();
     engine::RouteClaimOptions copts;
-    engine::ChainClaimer claimer(mesh, copts);
+    engine::ChainClaimer claimer(mesh, copts, /*num_owners=*/8);
     for (const Coord &t : arch.reservedTerminals())
         claimer.reserveTerminal(t);
 
