@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -273,6 +275,159 @@ TEST(Obs, EventStreamInvariantAcrossExecutionModes)
             for (const std::string &name : simulatedBackends())
                 expectSameStreamInBothModes(name, circ, kind, s);
     }
+}
+
+/** FNV-1a (64-bit) over every field of @p events, little-endian. */
+uint64_t
+streamDigest(const std::vector<TraceEvent> &events)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const TraceEvent &e : events) {
+        mix(e.cycle);
+        mix(static_cast<uint64_t>(e.kind));
+        mix(static_cast<uint64_t>(static_cast<int64_t>(e.op)));
+        mix(static_cast<uint64_t>(e.a));
+        mix(static_cast<uint64_t>(e.b));
+        mix(static_cast<uint64_t>(e.c));
+    }
+    return h;
+}
+
+/** A pinned stepped event stream: its digest and its length. */
+struct PinnedStream
+{
+    const char *key; ///< "circuit / backend / scenario".
+    uint64_t digest;
+    size_t events;
+};
+
+TEST(Obs, EventStreamDigestsArePinned)
+{
+    // The stepped (fast_forward = false) stream of every scheduler
+    // on the inputs of EventStreamInvariantAcrossExecutionModes,
+    // pinned so that a lost, added or altered event fails here even
+    // when both execution modes change the same way.
+    static const PinnedStream pinned[] = {
+        {"SQ / double-defect / baseline",
+         0xd6f03e0dee0e0478ull, 4813},
+        {"SQ / hybrid/mixed-sim / baseline",
+         0x1fb503defd76ecebull, 4548},
+        {"SQ / planar / baseline",
+         0x7c85ffc097f9a350ull, 263},
+        {"SQ / planar/surgery-sim / baseline",
+         0xffffc0c6f9962d9eull, 4918},
+        {"SQ / double-defect / tight-timeouts",
+         0xee73a298171c9746ull, 4976},
+        {"SQ / hybrid/mixed-sim / tight-timeouts",
+         0xd03901a0ae896cabull, 4580},
+        {"SQ / planar / tight-timeouts",
+         0x7c85ffc097f9a350ull, 263},
+        {"SQ / planar/surgery-sim / tight-timeouts",
+         0x2c8be753413734c6ull, 5864},
+        {"SQ / double-defect / factory-starvation",
+         0xca0228ceb56b83c2ull, 8547},
+        {"SQ / hybrid/mixed-sim / factory-starvation",
+         0x35a7e3e4ddd50a5bull, 9171},
+        {"SQ / planar / factory-starvation",
+         0x7c85ffc097f9a350ull, 263},
+        {"SQ / planar/surgery-sim / factory-starvation",
+         0x7075612adb62b82dull, 5413},
+        {"IM-semi / double-defect / baseline",
+         0x89fbc9de2b7a34e7ull, 8198},
+        {"IM-semi / hybrid/mixed-sim / baseline",
+         0x7c160992c221dc40ull, 9237},
+        {"IM-semi / planar / baseline",
+         0x3b07192ccb870837ull, 395},
+        {"IM-semi / planar/surgery-sim / baseline",
+         0xb93897451176cc7ull, 32059},
+        {"IM-semi / double-defect / tight-timeouts",
+         0xe2df15a2bdf5723full, 15072},
+        {"IM-semi / hybrid/mixed-sim / tight-timeouts",
+         0x204d2bc5329f5d52ull, 17948},
+        {"IM-semi / planar / tight-timeouts",
+         0x3b07192ccb870837ull, 395},
+        {"IM-semi / planar/surgery-sim / tight-timeouts",
+         0xf3332f4c35487d7ull, 90667},
+        {"IM-semi / double-defect / factory-starvation",
+         0x118c2bc5edd1e63ull, 55682},
+        {"IM-semi / hybrid/mixed-sim / factory-starvation",
+         0xcd18d8ac60bade06ull, 68482},
+        {"IM-semi / planar / factory-starvation",
+         0x3b07192ccb870837ull, 395},
+        {"IM-semi / planar/surgery-sim / factory-starvation",
+         0xeeec325dc61cda9ull, 50443},
+        {"SHA-1 / double-defect / baseline",
+         0x47b0dcaa5b970814ull, 11023},
+        {"SHA-1 / hybrid/mixed-sim / baseline",
+         0x4528ef473ba27780ull, 10114},
+        {"SHA-1 / planar / baseline",
+         0xe8d160f8800cd209ull, 1202},
+        {"SHA-1 / planar/surgery-sim / baseline",
+         0xc6f39d7991b9150ull, 13996},
+        {"SHA-1 / double-defect / tight-timeouts",
+         0xe9df1f830ca921e7ull, 12226},
+        {"SHA-1 / hybrid/mixed-sim / tight-timeouts",
+         0xfe87c8f26e1b426bull, 10419},
+        {"SHA-1 / planar / tight-timeouts",
+         0xe8d160f8800cd209ull, 1202},
+        {"SHA-1 / planar/surgery-sim / tight-timeouts",
+         0x97fe8c50250708c4ull, 21928},
+        {"SHA-1 / double-defect / factory-starvation",
+         0xfb53a8fe899e476full, 27195},
+        {"SHA-1 / hybrid/mixed-sim / factory-starvation",
+         0xeafceac136fbf19ull, 29548},
+        {"SHA-1 / planar / factory-starvation",
+         0xe8d160f8800cd209ull, 1202},
+        {"SHA-1 / planar/surgery-sim / factory-starvation",
+         0xc7020f3537d3c26ull, 15558},
+    };
+    const std::pair<apps::AppKind, apps::GenOptions> inputs[] = {
+        {apps::AppKind::SQ, {8, 2}},
+        {apps::AppKind::IsingSemi, {8, 2}},
+        {apps::AppKind::SHA1, {4, 4}},
+    };
+    size_t checked = 0;
+    for (const auto &[kind, gen] : inputs) {
+        circuit::Circuit circ =
+            circuit::decompose(apps::generate(kind, gen));
+        for (const Scenario &s : scenarios()) {
+            for (const std::string &name : simulatedBackends()) {
+                std::string key =
+                    circ.name() + " / " + name + " / " + s.name;
+                engine::WorkItem item = itemFor(&circ, s);
+                item.app = kind;
+                RunRecorder rec(0, circ.name(), name);
+                item.config.fast_forward = false;
+                item.config.trace = &rec;
+                engine::Registry::global().get(name).run(item);
+                std::vector<TraceEvent> stream = comparableStream(rec);
+                uint64_t digest = streamDigest(stream);
+
+                const PinnedStream *pin = nullptr;
+                for (const PinnedStream &p : pinned)
+                    if (key == p.key)
+                        pin = &p;
+                if (!pin) {
+                    ADD_FAILURE() << "no pinned stream for {\"" << key
+                                  << "\", 0x" << std::hex << digest
+                                  << std::dec << "ull, "
+                                  << stream.size() << "},";
+                    continue;
+                }
+                ++checked;
+                EXPECT_EQ(stream.size(), pin->events) << key;
+                EXPECT_EQ(digest, pin->digest)
+                    << key << ": got 0x" << std::hex << digest;
+            }
+        }
+    }
+    EXPECT_EQ(checked, std::size(pinned));
 }
 
 TEST(Obs, HeatmapBucketsSumToLinkTotals)
