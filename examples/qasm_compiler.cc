@@ -13,7 +13,9 @@
  * "Observability").  Pass --defects=DENSITY (and optionally
  * --defect-seed=N) to run on a randomly damaged fabric, or
  * --defect-spec=PATH to load an explicit device defect map (see
- * README, "Faulty fabrics").
+ * README, "Faulty fabrics").  DENSITY must be a number in [0, 1) and
+ * N an unsigned 64-bit integer; a malformed flag prints the usage
+ * line and exits 2.
  */
 
 #include <fstream>
@@ -22,12 +24,43 @@
 #include <string>
 
 #include "circuit/decompose.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "qasm/flatten.h"
 #include "qasm/parser.h"
 #include "qasm/writer.h"
 #include "toolflow/toolflow.h"
+
+namespace {
+
+int
+usage()
+{
+    std::cerr << "usage: qasm_compiler [--trace=PATH] "
+                 "[--metrics=PATH] [--defects=DENSITY] "
+                 "[--defect-seed=N] [--defect-spec=PATH] "
+                 "[program.qasm]\n";
+    return 2;
+}
+
+/**
+ * @return the value of a numeric flag, read whole as one JSON value
+ * (null when it is not one), so that the number and integer readers
+ * the wire codec uses decide what it holds: "abc" and "7xyz" are
+ * rejected, not read as a prefix or thrown past main().
+ */
+qsurf::JsonValue
+flagValue(const std::string &text)
+{
+    try {
+        return qsurf::parseJson(text);
+    } catch (const qsurf::FatalError &) {
+        return {};
+    }
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -43,9 +76,13 @@ main(int argc, char **argv)
         } else if (arg.compare(0, 10, "--metrics=") == 0) {
             config.metrics_path = arg.substr(10);
         } else if (arg.compare(0, 10, "--defects=") == 0) {
-            config.defect_density = std::stod(arg.substr(10));
+            double &density = config.defect_density;
+            if (!flagValue(arg.substr(10)).number(density)
+                || density < 0 || density >= 1)
+                return usage();
         } else if (arg.compare(0, 14, "--defect-seed=") == 0) {
-            config.defect_seed = std::stoull(arg.substr(14));
+            if (!flagValue(arg.substr(14)).integer(config.defect_seed))
+                return usage();
         } else if (arg.compare(0, 14, "--defect-spec=") == 0) {
             std::ifstream spec(arg.substr(14));
             if (!spec) {
@@ -59,11 +96,7 @@ main(int argc, char **argv)
         } else if (input_path.empty()) {
             input_path = arg;
         } else {
-            std::cerr << "usage: qasm_compiler [--trace=PATH] "
-                         "[--metrics=PATH] [--defects=DENSITY] "
-                         "[--defect-seed=N] [--defect-spec=PATH] "
-                         "[program.qasm]\n";
-            return 2;
+            return usage();
         }
     }
 

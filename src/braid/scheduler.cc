@@ -1,14 +1,10 @@
 #include "braid/scheduler.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
-#include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "common/logging.h"
-#include "engine/sim.h"
-#include "network/route.h"
 
 namespace qsurf::braid {
 
@@ -26,93 +22,42 @@ policyName(Policy policy)
 
 namespace {
 
-using circuit::GateKind;
+using engine::OpClass;
 
-/** How an op uses the machine. */
-enum class OpClass : uint8_t
-{
-    Local, ///< 1-qubit non-T gate: tile-local, d cycles.
-    TGate, ///< T/Tdag: one braid to a factory, d+1 cycles.
-    TwoQ,  ///< 2-qubit gate: two braid segments, 2d+2 cycles.
-};
-
-/** Progress of one op through its stages. */
-enum class Stage : uint8_t
-{
-    Blocked,    ///< Dependencies outstanding.
-    Ready,      ///< First segment (or local body) may start.
-    Seg1Active, ///< First braid segment stabilizing.
-    Seg2Ready,  ///< Second segment may start (closing braid).
-    Seg2Active, ///< Second braid segment stabilizing.
-    Done,
-};
-
-struct OpRec
-{
-    OpClass cls = OpClass::Local;
-    Stage stage = Stage::Blocked;
-    int32_t qa = -1;
-    int32_t qb = -1;
-    int pending_preds = 0;
-    int wait = 0;          ///< Cycles spent failing to place.
-    int est_len = 0;       ///< Manhattan estimate for Policy 4/6.
-    network::Path route;   ///< Currently claimed route.
-};
-
-OpClass
-classify(const circuit::Gate &g)
-{
-    if (consumesMagicState(g.kind))
-        return OpClass::TGate;
-    int arity = g.arity();
-    fatalIf(arity > 2, "gate ", circuit::gateName(g.kind),
-            " must be decomposed before braid scheduling");
-    return arity == 2 ? OpClass::TwoQ : OpClass::Local;
-}
-
+/** Uncontended cycles of an op of class @p cls at distance @p d:
+ *  1-qubit ops d, T gates d+1 (one factory braid), 2-qubit ops
+ *  2d+2 (two braid segments). */
 uint64_t
 opLatency(OpClass cls, int d)
 {
+    auto cycles = static_cast<uint64_t>(d);
     switch (cls) {
       case OpClass::Local:
-        return static_cast<uint64_t>(d);
+        return cycles;
       case OpClass::TGate:
-        return static_cast<uint64_t>(d) + 1;
+        return cycles + 1;
       case OpClass::TwoQ:
-        return 2 * static_cast<uint64_t>(d) + 2;
+        return 2 * cycles + 2;
     }
     panic("bad OpClass");
 }
 
-/** The simulator. */
-class Simulator
+/**
+ * Braid scheduling as a list-scheduling policy: a 2-qubit op is two
+ * braid segments that each claim a whole route and hold it d + 1
+ * cycles, a T gate one braid to a factory.  The Policy 0-6 key
+ * orders the queue, and Policy 0 places one op at a time.
+ */
+class BraidScheduler final
+    : public engine::ListScheduler<BraidScheduler, TiledArch,
+                                   engine::RouteClaimer>
 {
   public:
-    Simulator(const circuit::Circuit &circ, Policy policy,
-              const BraidOptions &opts, const BraidPrepared &prep)
-        : circ(circ), policy(policy), opts(opts), dag(prep.dag),
-          graph(prep.graph), arch(prep.arch), mesh(arch.makeMesh()),
-          claim_opts(makeClaimOptions(opts)),
-          claimer(mesh, claim_opts, circ.size()), crit(prep.crit),
-          trace(opts.trace)
+    BraidScheduler(const circuit::Circuit &circ, Policy policy,
+                   const BraidOptions &opts,
+                   const BraidPrepared &prep)
+        : ListScheduler(circ, opts, prep, "braid"), policy(policy)
     {
-        if (trace) {
-            trace->meshDims(mesh.width(), mesh.height());
-            obs::traceMeshDefects(trace, mesh);
-        }
-        // Factory preference orders are a pure function of the
-        // static layout; memoize them per qubit so a stalled T gate
-        // doesn't re-sort the factory list every failed attempt.
-        factory_order.resize(
-            static_cast<size_t>(graph.num_qubits));
-        for (int q = 0; q < graph.num_qubits; ++q)
-            factory_order[static_cast<size_t>(q)] =
-                arch.factoriesByDistance(q);
-        buildOps();
-        factories.configure(arch.numFactories(),
-                            opts.magic_production_cycles,
-                            opts.magic_buffer_capacity);
-        factories.setTrace(trace);
         // Policy 6 treats the top criticality quartile as "highest
         // criticality" (short-first); the rest go long-first.
         std::vector<int> sorted_crit = crit;
@@ -125,118 +70,28 @@ class Simulator
     BraidResult
     run()
     {
-        seedReady();
-        uint64_t completed = 0;
-        auto total = static_cast<uint64_t>(circ.size());
-
-        while (completed < total) {
-            fatalIf(cycle > opts.max_cycles,
-                    "braid simulation exceeded ", opts.max_cycles,
-                    " cycles; likely a configuration problem");
-            factories.replenish(cycle);
-            placementPhase();
-            if (opts.fast_forward)
-                fastForwardPhase();
-            mesh.tick();
-            ++cycle;
-            completed += completionPhase();
-        }
-
         BraidResult out;
-        out.schedule_cycles = cycle;
-        out.critical_path_cycles =
-            braidCriticalPath(circ, opts.code_distance);
-        out.mesh_utilization = mesh.utilization();
+        simulate(out);
         out.braids_placed = braids_placed;
-        out.placement_failures = placement_failures;
         out.yx_fallbacks = claimer.transposeFallbacks();
-        out.bfs_detours = claimer.bfsDetours();
-        out.drops = drops;
-        out.magic_starvations = magic_starvations;
-        out.layout_cost = arch.layoutCost(graph);
-        out.ff_skipped_cycles = ff.skipped();
-        out.defect_dead_fraction = arch.defects().deadFraction();
-        out.defect_avg_multiplier =
-            arch.defects().avgErrorMultiplier();
-        out.defective_nodes =
-            static_cast<uint64_t>(mesh.numDefectiveNodes());
-        out.defective_links =
-            static_cast<uint64_t>(mesh.numDefectiveLinks());
         return out;
     }
 
-  private:
-    static engine::RouteClaimOptions
-    makeClaimOptions(const BraidOptions &opts)
-    {
-        engine::RouteClaimOptions c;
-        c.adapt_timeout = opts.adapt_timeout;
-        c.bfs_timeout = opts.bfs_timeout;
-        return c;
-    }
+    // Policy hooks (see engine/list_scheduler.h).
 
-    void
-    buildOps()
-    {
-        ops.resize(static_cast<size_t>(circ.size()));
-        for (int i = 0; i < circ.size(); ++i) {
-            const circuit::Gate &g = circ.gate(i);
-            OpRec &op = ops[static_cast<size_t>(i)];
-            op.cls = classify(g);
-            op.qa = g.qubit[0];
-            op.qb = g.arity() == 2 ? g.qubit[1] : -1;
-            op.pending_preds =
-                static_cast<int>(dag.preds(i).size());
-            op.est_len = estimateLength(op);
-        }
-    }
+    Coord site(int32_t q) const { return arch.terminal(q); }
 
-    int
-    estimateLength(const OpRec &op) const
-    {
-        switch (op.cls) {
-          case OpClass::Local:
-            return 0;
-          case OpClass::TGate: {
-            int f = factory_order[static_cast<size_t>(op.qa)]
-                        .front();
-            return manhattan(arch.terminal(op.qa),
-                             arch.factoryTerminal(f));
-          }
-          case OpClass::TwoQ:
-            return manhattan(arch.terminal(op.qa),
-                             arch.terminal(op.qb));
-        }
-        panic("bad OpClass");
-    }
+    Coord factorySite(int f) const { return arch.factoryTerminal(f); }
 
-    void
-    seedReady()
-    {
-        for (int i = 0; i < circ.size(); ++i)
-            if (ops[static_cast<size_t>(i)].pending_preds == 0)
-                makeReady(i, Stage::Ready);
-    }
-
-    void
-    makeReady(int i, Stage stage)
-    {
-        ops[static_cast<size_t>(i)].stage = stage;
-        ops[static_cast<size_t>(i)].wait = 0;
-        ready.insert(makeEntry(i));
-        if (trace)
-            trace->record({cycle, obs::EventKind::OpReady, i,
-                           stage == Stage::Seg2Ready ? 1 : 0});
-    }
-
-    /** Build the policy-specific sort key (Section 6.3). */
+    /** The Section 6.3 sort key of op @p i. */
     engine::ReadyEntry
-    makeEntry(int i)
+    readyKey(int i) const
     {
-        const OpRec &op = ops[static_cast<size_t>(i)];
+        const Op &op = ops[static_cast<size_t>(i)];
+        int c = crit[static_cast<size_t>(i)];
         engine::ReadyEntry e;
         e.id = i;
-        bool closing = op.stage == Stage::Seg2Ready;
+        bool closing = op.segment == 1;
         switch (policy) {
           case Policy::ProgramOrder:
           case Policy::Interleave:
@@ -244,180 +99,50 @@ class Simulator
             // FIFO by readiness.
             break;
           case Policy::Criticality:
-            e.k1 = -crit[static_cast<size_t>(i)];
+            e.k1 = -c;
             break;
           case Policy::Length:
-            e.k1 = -op.est_len;
+            e.k1 = -op.est;
             break;
           case Policy::Type:
             e.k1 = closing ? 0 : 1;
             break;
           case Policy::Combined:
             e.k1 = closing ? 0 : 1;
-            e.k2 = -crit[static_cast<size_t>(i)];
-            e.k3 = crit[static_cast<size_t>(i)] >= crit_threshold
-                ? op.est_len   // highest criticality: short first.
-                : -op.est_len; // lower criticality: long first.
+            e.k2 = -c;
+            e.k3 = c >= crit_threshold
+                ? op.est   // highest criticality: short first.
+                : -op.est; // lower criticality: long first.
             break;
         }
         return e;
     }
 
-    /**
-     * Try to claim a route for op @p i (stage-appropriate segment)
-     * via the engine's shared XY -> YX -> BFS escalation.
-     */
-    bool
-    tryPlace(int i)
+    /** Figure 5: the two segments take different geometries; part 1
+     *  opens XY-first and part 2 YX-first. */
+    std::optional<network::Path>
+    claim(int i, const Coord &src, const Coord &dst)
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
-        if (op.cls == OpClass::Local) {
-            if (trace)
-                trace->record({cycle, obs::EventKind::OpIssue, i, 0,
-                               opts.code_distance});
-            activate(i, opts.code_distance);
-            return true;
-        }
-
-        Coord src = arch.terminal(op.qa);
-        // Candidate destinations: (router, factory index or -1).
-        std::vector<std::pair<Coord, int>> &dsts = dsts_scratch;
-        dsts.clear();
-        if (op.cls == OpClass::TwoQ) {
-            dsts.emplace_back(arch.terminal(op.qb), -1);
-        } else if (!engine::appendStockedFactories(
-                       factories,
-                       factory_order[static_cast<size_t>(op.qa)],
-                       op.wait, opts.adapt_timeout, dsts,
-                       [this](int f) {
-                           return arch.factoryTerminal(f);
-                       })) {
-            ++magic_starvations;
-            ++pass_starved;
-            if (trace
-                && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                       opts.bfs_timeout))
-                trace->record(
-                    {cycle, obs::EventKind::FactoryStarve, i});
-            return false;
-        }
-
-        // Figure 5: the two segments take different geometries; we
-        // open part 1 XY-first and part 2 YX-first.
-        bool closing = op.stage == Stage::Seg2Ready;
-        uint64_t transpose_before = 0;
-        uint64_t bfs_before = 0;
-        if (trace) {
-            transpose_before = claimer.transposeFallbacks();
-            bfs_before = claimer.bfsDetours();
-        }
-        for (const auto &[dst, factory] : dsts) {
-            auto path =
-                claimer.tryClaim(src, dst, i, op.wait, closing);
-            if (path) {
-                factories.consume(factory);
-                if (trace) {
-                    int64_t stage =
-                        claimer.bfsDetours() > bfs_before ? 2
-                        : claimer.transposeFallbacks()
-                                > transpose_before
-                            ? 1
-                            : 0;
-                    trace->record({cycle,
-                                   obs::EventKind::RouteClaim, i,
-                                   stage, path->hops(), factory});
-                    if (stage > 0)
-                        trace->record(
-                            {cycle, obs::EventKind::RouteFallback,
-                             i, stage});
-                    trace->routeHeld(
-                        *path, cycle,
-                        static_cast<uint64_t>(opts.code_distance)
-                            + 1);
-                    trace->record(
-                        {cycle, obs::EventKind::OpIssue, i,
-                         op.cls == OpClass::TGate ? 1 : 2,
-                         opts.code_distance + 1});
-                }
-                placed(i, std::move(*path));
-                return true;
-            }
-        }
-        if (trace
-            && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                   opts.bfs_timeout))
-            trace->record({cycle, obs::EventKind::RouteDeny, i,
-                           op.wait});
-        return false;
+        const Op &op = ops[static_cast<size_t>(i)];
+        return claimer.tryClaim(src, dst, i, op.wait,
+                                op.segment == 1);
     }
 
-    /** Record a successful placement on an already-claimed route. */
-    void
-    placed(int i, network::Path path)
+    /** Braid open consumes one cycle, then d stabilization rounds. */
+    engine::Hold
+    hold(int i, const network::Path &)
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
-        op.route = std::move(path);
         ++braids_placed;
-        // Braid open consumes one cycle, then d stabilization rounds.
-        activate(i, opts.code_distance + 1);
+        return {static_cast<uint64_t>(opts.code_distance) + 1,
+                ops[static_cast<size_t>(i)].cls == OpClass::TGate
+                    ? 1
+                    : 2};
     }
 
-    void
-    activate(int i, int duration)
+    uint64_t
+    latency(const Op &op) const
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
-        op.stage = op.stage == Stage::Seg2Ready ? Stage::Seg2Active
-                                                : Stage::Seg1Active;
-        expiry.schedule(cycle + static_cast<uint64_t>(duration), i);
-    }
-
-    /** Greedy placement, policy-ordered; Policy 0 is one-at-a-time. */
-    void
-    placementPhase()
-    {
-        pass_placed = 0;
-        pass_dropped = 0;
-        pass_starved = 0;
-        attempted.clear();
-
-        if (policy == Policy::ProgramOrder) {
-            programOrderPlacement();
-            return;
-        }
-
-        int failures = 0;
-        dropped_scratch.clear();
-        auto it = ready.begin();
-        while (it != ready.end()
-               && failures < opts.max_attempts_per_cycle) {
-            int i = it->id;
-            int wait_used = ops[static_cast<size_t>(i)].wait;
-            if (tryPlace(i)) {
-                ++pass_placed;
-                it = ready.erase(it);
-                continue;
-            }
-            ++failures;
-            ++placement_failures;
-            OpRec &op = ops[static_cast<size_t>(i)];
-            ++op.wait;
-            if (op.wait >= opts.drop_timeout) {
-                // Drop and re-inject at the back of the queue.
-                ++drops;
-                ++pass_dropped;
-                op.wait = 0;
-                it = ready.erase(it);
-                dropped_scratch.push_back(i);
-                if (trace)
-                    trace->record(
-                        {cycle, obs::EventKind::RouteDrop, i});
-                continue;
-            }
-            attempted.push_back({i, wait_used});
-            ++it;
-        }
-        for (int i : dropped_scratch)
-            ready.insert(makeEntry(i));
+        return opLatency(op.cls, opts.code_distance);
     }
 
     /**
@@ -425,129 +150,45 @@ class Simulator
      * one per cycle; nothing may bypass a blocked event.
      */
     void
-    programOrderPlacement()
+    placementPass()
     {
+        if (policy != Policy::ProgramOrder) {
+            greedyPass();
+            return;
+        }
         auto head = ready.end();
         for (auto it = ready.begin(); it != ready.end(); ++it)
             if (head == ready.end() || it->id < head->id)
                 head = it;
         if (head == ready.end())
             return;
-
         int i = head->id;
-        int wait_used = ops[static_cast<size_t>(i)].wait;
-        if (tryPlace(i)) {
-            ++pass_placed;
+        Attempt outcome = attempt(i);
+        if (outcome == Attempt::Placed)
             ready.erase(head);
-            return;
-        }
-        ++placement_failures;
-        OpRec &op = ops[static_cast<size_t>(i)];
-        ++op.wait;
-        if (op.wait >= opts.drop_timeout) {
+        else if (outcome == Attempt::Dropped)
             // Dropping is meaningless under strict order; keep the
             // route-adaptivity escalation armed and count the event.
-            ++drops;
-            ++pass_dropped;
-            op.wait = opts.bfs_timeout;
-            if (trace)
-                trace->record({cycle, obs::EventKind::RouteDrop, i});
-        }
-        attempted.push_back({i, wait_used});
+            ops[static_cast<size_t>(i)].wait = opts.bfs_timeout;
     }
 
-    /**
-     * When the pass above placed nothing (and dropped nothing, so
-     * the ready queue kept its order), every iteration until the
-     * next interesting event is a pure repetition: same failed
-     * attempts, same starvations, wait counters +1 each.  Jump
-     * there, accounting the elided iterations in bulk.
-     */
-    void
-    fastForwardPhase()
+    /** A 2-qubit op's opening segment retiring readies its closing
+     *  segment instead of completing the op. */
+    bool
+    requeueOnRetire(int i)
     {
-        if (pass_placed > 0 || pass_dropped > 0)
-            return;
-        uint64_t skip = engine::fastForwardAfterStall(
-            ff, expiry, mesh, cycle, opts.max_cycles + 1, attempted,
-            [this](int i) -> int & {
-                return ops[static_cast<size_t>(i)].wait;
-            },
-            claim_opts, opts.drop_timeout, placement_failures,
-            [this](engine::FastForward &planner) {
-                // A replenishment that raises a stock can change a
-                // T gate's candidate factories.
-                factories.registerEvents(planner);
-            });
-        if (trace && skip > 0)
-            trace->record({cycle, obs::EventKind::FastForwardSkip,
-                           -1, static_cast<int64_t>(skip)});
-        cycle += skip;
-        magic_starvations += pass_starved * skip;
+        Op &op = ops[static_cast<size_t>(i)];
+        if (op.cls != OpClass::TwoQ || op.segment != 0)
+            return false;
+        op.segment = 1;
+        makeReady(i);
+        return true;
     }
 
-    /** Retire expired segments; returns number of ops completed. */
-    uint64_t
-    completionPhase()
-    {
-        uint64_t completed = 0;
-        while (auto ripe = expiry.popRipe(cycle)) {
-            int i = *ripe;
-            OpRec &op = ops[static_cast<size_t>(i)];
-            if (!op.route.empty()) {
-                mesh.release(op.route, i);
-                op.route = network::Path{};
-            }
-            if (op.cls == OpClass::TwoQ
-                && op.stage == Stage::Seg1Active) {
-                makeReady(i, Stage::Seg2Ready);
-                continue;
-            }
-            op.stage = Stage::Done;
-            ++completed;
-            if (trace)
-                trace->record({cycle, obs::EventKind::OpRetire, i});
-            for (int s : dag.succs(i))
-                if (--ops[static_cast<size_t>(s)].pending_preds == 0)
-                    makeReady(s, Stage::Ready);
-        }
-        return completed;
-    }
-
-    const circuit::Circuit &circ;
+  private:
     Policy policy;
-    const BraidOptions &opts;
-    const circuit::Dag &dag;
-    const circuit::InteractionGraph &graph;
-    const TiledArch &arch;
-    network::Mesh mesh;
-    engine::RouteClaimOptions claim_opts;
-    engine::RouteClaimer claimer;
-
-    std::vector<OpRec> ops;
-    const std::vector<int> &crit;
-    std::vector<std::vector<int>> factory_order; ///< Per qubit.
     int crit_threshold = 0;
-    engine::ReadyQueue ready;
-    engine::ExpiryQueue expiry;
-    engine::FastForward ff;
-    uint64_t cycle = 0;
-
-    /** Per-pass bookkeeping feeding fastForwardPhase(). */
-    uint64_t pass_placed = 0;
-    uint64_t pass_dropped = 0;
-    uint64_t pass_starved = 0;
-    std::vector<std::pair<int, int>> attempted; ///< (id, wait used).
-    std::vector<int> dropped_scratch;
-    std::vector<std::pair<Coord, int>> dsts_scratch;
-
-    engine::MagicFactoryPool factories;
-    obs::TraceRecorder *trace;
-
     uint64_t braids_placed = 0;
-    uint64_t placement_failures = 0;
-    uint64_t drops = 0;
-    uint64_t magic_starvations = 0;
 };
 
 } // namespace
@@ -557,17 +198,9 @@ braidCriticalPath(const circuit::Circuit &circ, int d)
 {
     fatalIf(d < 1, "code distance must be >= 1, got ", d);
     circuit::Dag dag(circ);
-    std::vector<uint64_t> finish(static_cast<size_t>(circ.size()), 0);
-    uint64_t best = 0;
-    for (int i = 0; i < circ.size(); ++i) {
-        uint64_t start = 0;
-        for (int p : dag.preds(i))
-            start = std::max(start, finish[static_cast<size_t>(p)]);
-        uint64_t lat = opLatency(classify(circ.gate(i)), d);
-        finish[static_cast<size_t>(i)] = start + lat;
-        best = std::max(best, finish[static_cast<size_t>(i)]);
-    }
-    return best;
+    return engine::criticalPath(dag, [&](int i) {
+        return opLatency(engine::classifyOp(circ.gate(i), "braid"), d);
+    });
 }
 
 BraidPrepared::BraidPrepared(const circuit::Circuit &circ,
@@ -603,7 +236,7 @@ scheduleBraids(const circuit::Circuit &circ, Policy policy,
 {
     fatalIf(circ.empty(), "cannot schedule an empty circuit");
     fatalIf(opts.code_distance < 1, "code distance must be >= 1");
-    return Simulator(circ, policy, opts, prepared).run();
+    return BraidScheduler(circ, policy, opts, prepared).run();
 }
 
 } // namespace qsurf::braid

@@ -261,6 +261,15 @@ exactInteger(const JsonValue &v, T &out)
 } // namespace
 
 bool
+JsonValue::number(double &out) const
+{
+    if (!isNumber() || !std::isfinite(num))
+        return false;
+    out = num;
+    return true;
+}
+
+bool
 JsonValue::integer(int64_t &out) const
 {
     return exactInteger(*this, out);

@@ -129,6 +129,10 @@ struct JsonValue
      *  this is not an object). */
     const JsonValue *find(const std::string &key) const;
 
+    /** Read a finite Number into @p out.  @return false when this
+     *  is not a Number or not finite. */
+    bool number(double &out) const;
+
     /**
      * Read an integral Number exactly into @p out.  @return false
      * when this is not a Number, not integral, or out of range for

@@ -12,6 +12,7 @@
 
 #include "braid/scheduler.h"
 #include "common/logging.h"
+#include "engine/list_scheduler.h"
 #include "engine/registry.h"
 #include "estimate/model.h"
 #include "hybrid/backend.h"
@@ -113,21 +114,9 @@ class DoubleDefectBackend : public Backend
     run(const WorkItem &item,
         const PreparedArtifact *artifact) const override
     {
-        int d = item.resolveDistance();
         braid::BraidOptions opts;
-        opts.code_distance = d;
-        opts.seed = item.config.seed;
-        opts.fast_forward = item.config.fast_forward;
-        opts.adapt_timeout = item.config.adapt_timeout;
-        opts.bfs_timeout = item.config.bfs_timeout;
-        opts.drop_timeout = item.config.drop_timeout;
-        opts.max_cycles = item.config.max_cycles;
-        opts.magic_production_cycles =
-            item.config.magic_production_cycles;
-        opts.magic_buffer_capacity =
-            item.config.magic_buffer_capacity;
-        opts.defects = item.config.defectParams();
-        opts.trace = item.config.trace;
+        opts.fill(item);
+        int d = opts.code_distance;
         auto policy =
             static_cast<braid::Policy>(item.config.policy);
         braid::BraidResult r;
@@ -163,30 +152,7 @@ class DoubleDefectBackend : public Backend
         m.set("magic_starvations",
               static_cast<double>(r.magic_starvations));
         m.set("layout_cost", r.layout_cost);
-        m.set("ff_skipped_cycles",
-              static_cast<double>(r.ff_skipped_cycles));
-        m.set("ff_skip_ratio",
-              r.schedule_cycles
-                  ? static_cast<double>(r.ff_skipped_cycles)
-                      / static_cast<double>(r.schedule_cycles)
-                  : 0.0);
-        // Only on damaged fabrics, so defect-free rows stay
-        // byte-identical to pre-defect-awareness output.
-        if (item.config.defectParams().enabled()) {
-            m.set("defect_dead_fraction", r.defect_dead_fraction);
-            m.set("defect_avg_multiplier", r.defect_avg_multiplier);
-            m.set("defective_nodes",
-                  static_cast<double>(r.defective_nodes));
-            m.set("defective_links",
-                  static_cast<double>(r.defective_links));
-            m.set("logical_error_proxy",
-                  logicalErrorProxy(
-                      static_cast<double>(
-                          item.circuit->numQubits()),
-                      r.schedule_cycles, d,
-                      item.config.tech.p_physical,
-                      r.defect_avg_multiplier));
-        }
+        setListMetrics(m, r, item);
         return m;
     }
 };

@@ -2,15 +2,17 @@
  * @file
  * Shared simulation primitives of the backend engines.
  *
- * Both run-to-completion backends are discrete simulators built from
- * the same small set of mechanisms: a deterministic keyed ready
- * queue, an expiry queue retiring in-flight work, the route-claim
- * escalation of Section 6.1 on the circuit-switched mesh, a pool of
- * identical transport channels, and sweep-line accounting of live
- * resources.  Hoisting them here keeps the braid and planar
- * schedulers to their policy decisions and guarantees every backend
- * shares the same deterministic tie-breaking, which is what makes
- * parallel sweeps bit-identical at any thread count.
+ * The simulated backends are discrete simulators built from the
+ * same small set of mechanisms: a deterministic keyed ready queue,
+ * an expiry queue retiring in-flight work, the route-claim
+ * escalation of Section 6.1 on the circuit-switched mesh, the
+ * fast-forward planner, rate-limited magic-state factories, a pool
+ * of identical transport channels, and sweep-line accounting of
+ * live resources.  The braid, surgery and hybrid schedulers combine
+ * them in one loop (engine/list_scheduler.h); the planar scheduler
+ * uses the queues and channels on its own.  Sharing them guarantees
+ * every backend the same deterministic tie-breaking, which is what
+ * makes parallel sweeps bit-identical at any thread count.
  */
 
 #ifndef QSURF_ENGINE_SIM_H
@@ -264,53 +266,6 @@ class FastForward
 };
 
 /**
- * The shared plan-and-account step both schedulers run after a
- * placement pass that claimed nothing and dropped nothing: gather
- * the interesting-event candidates (next retirement, each stalled
- * op's thresholds, any backend-specific events via @p extra_events),
- * and when a jump is possible, bulk-account everything the elided
- * iterations would have done uniformly — ticks, placement-failure
- * counters, wait counters.  Backend-specific bulk counters (e.g.
- * braid magic starvations) are the caller's to apply, scaled by the
- * returned skip.
- *
- * @param attempted    (op id, wait value the pass routed with).
- * @param wait_of      callable int&(int id): the op's wait counter.
- * @param extra_events callable(FastForward&) registering additional
- *                     event candidates before the jump is planned.
- * @return the number of iterations elided (0 = nothing to skip);
- *         the caller advances its cycle counter by this.
- */
-template <typename WaitOf, typename ExtraEvents>
-uint64_t
-fastForwardAfterStall(FastForward &ff, const ExpiryQueue &expiry,
-                      network::Mesh &mesh, uint64_t now,
-                      uint64_t horizon,
-                      const std::vector<std::pair<int, int>> &attempted,
-                      WaitOf &&wait_of, const RouteClaimOptions &route,
-                      int drop_timeout, uint64_t &placement_failures,
-                      ExtraEvents &&extra_events)
-{
-    ff.begin(now);
-    if (auto deadline = expiry.nextDeadline())
-        ff.eventAt(*deadline);
-    extra_events(ff);
-    for (const auto &[id, wait_used] : attempted)
-        ff.stalledOp(wait_used, wait_of(id), route, drop_timeout);
-
-    uint64_t skip = ff.skippable(horizon);
-    if (skip == 0)
-        return 0;
-    ff.recordSkip(skip);
-    mesh.tick(skip);
-    placement_failures +=
-        static_cast<uint64_t>(attempted.size()) * skip;
-    for (const auto &[id, wait_used] : attempted)
-        wait_of(id) += static_cast<int>(skip);
-    return skip;
-}
-
-/**
  * Failure witnesses of the owners stalled on a claim.
  *
  * Between two attempts by the same owner, other owners' claims can
@@ -496,6 +451,13 @@ class RouteClaimer : public EscalatingClaimer
     std::optional<network::Path> tryClaim(const Coord &src,
                                           const Coord &dst, int owner,
                                           int wait, bool yx_first);
+
+    /** Release @p route, claimed for @p owner. */
+    void
+    release(const network::Path &route, int owner)
+    {
+        mesh_.release(route, owner);
+    }
 
   private:
     /** The walked dimension-ordered route, rebuilt in place. */

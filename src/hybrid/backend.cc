@@ -65,15 +65,14 @@ class HybridBackend : public engine::Backend
     run(const engine::WorkItem &item,
         const engine::PreparedArtifact *artifact) const override
     {
-        int d = item.resolveDistance();
+        HybridOptions opts;
+        opts.fill(item);
+        int d = opts.code_distance;
 
         // Price the arbitration from the same constants the
         // analytic design-space models sweep with.
         estimate::ModelConstants mk;
         estimate::SurgeryConstants sk;
-
-        HybridOptions opts;
-        opts.code_distance = d;
         opts.arbiter =
             static_cast<ArbiterKind>(item.config.hybrid_arbiter);
         opts.rounds_per_hop = sk.rounds_per_hop;
@@ -89,18 +88,6 @@ class HybridBackend : public engine::Backend
         opts.layout_objective =
             partition::layoutObjective(item.config.layout_objective);
         opts.lane_spacing = item.config.lane_spacing;
-        opts.adapt_timeout = item.config.adapt_timeout;
-        opts.bfs_timeout = item.config.bfs_timeout;
-        opts.drop_timeout = item.config.drop_timeout;
-        opts.max_cycles = item.config.max_cycles;
-        opts.magic_production_cycles =
-            item.config.magic_production_cycles;
-        opts.magic_buffer_capacity =
-            item.config.magic_buffer_capacity;
-        opts.fast_forward = item.config.fast_forward;
-        opts.seed = item.config.seed;
-        opts.defects = item.config.defectParams();
-        opts.trace = item.config.trace;
         HybridResult r;
         if (artifact) {
             auto *a = dynamic_cast<const surgery::PatchArtifact *>(
@@ -151,30 +138,7 @@ class HybridBackend : public engine::Backend
         m.set("layout_cost", r.layout_cost);
         m.set("corridor_cost", r.corridor_cost);
         m.set("lane_area_factor", r.lane_area_factor);
-        m.set("ff_skipped_cycles",
-              static_cast<double>(r.ff_skipped_cycles));
-        m.set("ff_skip_ratio",
-              r.schedule_cycles
-                  ? static_cast<double>(r.ff_skipped_cycles)
-                      / static_cast<double>(r.schedule_cycles)
-                  : 0.0);
-        // Only on damaged fabrics, so defect-free rows stay
-        // byte-identical to pre-defect-awareness output.
-        if (item.config.defectParams().enabled()) {
-            m.set("defect_dead_fraction", r.defect_dead_fraction);
-            m.set("defect_avg_multiplier", r.defect_avg_multiplier);
-            m.set("defective_nodes",
-                  static_cast<double>(r.defective_nodes));
-            m.set("defective_links",
-                  static_cast<double>(r.defective_links));
-            m.set("logical_error_proxy",
-                  engine::logicalErrorProxy(
-                      static_cast<double>(
-                          item.circuit->numQubits()),
-                      r.schedule_cycles, d,
-                      item.config.tech.p_physical,
-                      r.defect_avg_multiplier));
-        }
+        engine::setListMetrics(m, r, item);
         return m;
     }
 };

@@ -24,12 +24,14 @@
  *    fixed teleport cost, queued on the channel overlay
  *    (prefetch-friendly, distance-sensitive, off-mesh).
  *
- * The simulator reuses the engine's deterministic primitives —
- * ReadyQueue, ExpiryQueue, ChainClaimer, ChannelPool,
- * MagicFactoryPool, LiveIntervalProfile and the FastForward planner
- * (whose jump targets cover all three schemes' wake events) — so
- * runs are bit-identical for a fixed (circuit, options) at any sweep
- * thread count and with fast-forward on or off.
+ * The simulator is a policy over engine::ListScheduler (the ready
+ * queue, placement pass, drop/re-inject, fast-forward and
+ * retirement shared with the braid and surgery schedulers; every
+ * scheme retires through its one expiry queue).  It supplies the
+ * per-op arbitration, the teleport path on a ChannelPool and the
+ * drop-time teleport fallback, so runs are bit-identical for a
+ * fixed (circuit, options) at any sweep thread count and with
+ * fast-forward on or off.
  */
 
 #ifndef QSURF_HYBRID_SCHEDULER_H
@@ -38,19 +40,18 @@
 #include <cstdint>
 
 #include "circuit/circuit.h"
+#include "engine/list_scheduler.h"
 #include "hybrid/arbiter.h"
-#include "obs/trace.h"
 #include "partition/layout.h"
 #include "surgery/patch_arch.h"
 
 namespace qsurf::hybrid {
 
-/** Simulation knobs. */
-struct HybridOptions
+/** Simulation knobs (the shared ones are engine::ListOptions;
+ *  drop_timeout is also the congestion-reactive arbiter's
+ *  teleport-fallback trigger). */
+struct HybridOptions : engine::ListOptions
 {
-    /** Code distance d. */
-    int code_distance = 5;
-
     /** Scheme arbitration policy. */
     ArbiterKind arbiter = ArbiterKind::CostGreedy;
 
@@ -95,64 +96,15 @@ struct HybridOptions
     /** Patch rows/columns between dedicated ancilla lanes. */
     int lane_spacing = 4;
 
-    /** Cycles an op waits before trying the transposed corridor. */
-    int adapt_timeout = 4;
-
-    /** Cycles before falling back to the adaptive BFS corridor. */
-    int bfs_timeout = 8;
-
-    /** Cycles before the op is dropped and re-injected (the
-     *  congestion-reactive arbiter's teleport-fallback trigger). */
-    int drop_timeout = 16;
-
-    /** Cap on failed placement attempts per cycle. */
-    int max_attempts_per_cycle = 64;
-
-    /**
-     * Cycles a factory patch needs to distill one magic state; 0
-     * means supply is never the bottleneck.  All three schemes
-     * consume from the same engine::MagicFactoryPool.
-     */
-    int magic_production_cycles = 0;
-
-    /** Distilled states a factory patch can buffer. */
-    int magic_buffer_capacity = 2;
-
-    /** Safety bound on simulated cycles. */
-    uint64_t max_cycles = 100'000'000;
-
-    /** Event-driven time skipping (bit-identical either way). */
-    bool fast_forward = true;
-
-    /** Layout RNG seed. */
-    uint64_t seed = 1;
-
-    /** Fabric damage recipe (see fabric/defect.h).  The default is
-     *  the perfect mesh every run assumed before defect awareness. */
-    fabric::DefectParams defects;
-
     /** Cost penalty per unit of per-route defect exposure on the
      *  mesh-borne schemes (ArbiterCosts::defect_penalty). */
     double defect_penalty = 2.0;
-
-    /** Structured-event trace hook; null disables tracing (see
-     *  obs/trace.h).  Never changes results. */
-    obs::TraceRecorder *trace = nullptr;
 };
 
-/** Results of one hybrid-scheduling run. */
-struct HybridResult
+/** Results of one hybrid-scheduling run.  The critical path prices
+ *  every op at its cheapest allowed scheme, uncontended. */
+struct HybridResult : engine::ListResult
 {
-    /** Total cycles to complete the program. */
-    uint64_t schedule_cycles = 0;
-
-    /** Dependence-limited lower bound: every op at its cheapest
-     *  allowed scheme, uncontended. */
-    uint64_t critical_path_cycles = 0;
-
-    /** Average fraction of mesh links busy. */
-    double mesh_utilization = 0;
-
     /** Peak simultaneously claimed mesh links. */
     uint64_t peak_busy_links = 0;
 
@@ -167,20 +119,8 @@ struct HybridResult
     /** Dropped ops the reactive arbiter re-routed to teleport. */
     uint64_t arbiter_fallbacks = 0;
 
-    /** Failed placement attempts (corridor conflicts). */
-    uint64_t placement_failures = 0;
-
     /** Placements that needed the transposed corridor. */
     uint64_t transpose_fallbacks = 0;
-
-    /** Placements that needed the BFS corridor detour. */
-    uint64_t bfs_detours = 0;
-
-    /** Drop/re-inject events. */
-    uint64_t drops = 0;
-
-    /** T placements refused because no factory had a state ready. */
-    uint64_t magic_starvations = 0;
 
     /** Peak live (launched, unconsumed) EPR pairs. */
     uint64_t peak_live_eprs = 0;
@@ -188,40 +128,11 @@ struct HybridResult
     /** Time-averaged live EPR pairs. */
     double avg_live_eprs = 0;
 
-    /** Interaction-weighted layout cost (Manhattan tiles). */
-    double layout_cost = 0;
-
     /** Interaction-weighted corridor cost (around-patch tiles). */
     double corridor_cost = 0;
 
     /** Mesh area relative to the lane-free machine (>= 1). */
     double lane_area_factor = 1;
-
-    /** Cycles elided by the event-driven fast-forward. */
-    uint64_t ff_skipped_cycles = 0;
-
-    /** Fraction of fabric tiles dead (0 on a perfect fabric). */
-    double defect_dead_fraction = 0;
-
-    /** Mean per-tile error-rate multiplier over live tiles (1 on a
-     *  perfect fabric). */
-    double defect_avg_multiplier = 1;
-
-    /** Permanently defective mesh routers. */
-    uint64_t defective_nodes = 0;
-
-    /** Permanently defective mesh links. */
-    uint64_t defective_links = 0;
-
-    /** @return schedule length / critical path. */
-    double
-    ratio() const
-    {
-        return critical_path_cycles
-            ? static_cast<double>(schedule_cycles)
-                / static_cast<double>(critical_path_cycles)
-            : 0.0;
-    }
 
     /** @return communicating ops (braid + teleport + surgery). */
     uint64_t
@@ -230,14 +141,6 @@ struct HybridResult
         return braid_ops + teleport_ops + surgery_ops;
     }
 };
-
-/**
- * Dependence-limited critical path of @p circ on the hybrid
- * machine: each op costs its cheapest allowed scheme's ideal
- * (uncontended, unqueued) latency under @p opts.
- */
-uint64_t hybridCriticalPath(const circuit::Circuit &circ,
-                            const HybridOptions &opts);
 
 /**
  * @return the PatchArchOptions @p opts resolves to — field-for-field

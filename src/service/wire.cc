@@ -182,9 +182,8 @@ parseCodeKind(const std::string &name)
 void
 readValue(const JsonValue &v, const std::string &key, double &out)
 {
-    fatalIf(!v.isNumber() || !std::isfinite(v.num), "wire field '",
-            key, "' is not a finite number");
-    out = v.num;
+    fatalIf(!v.number(out), "wire field '", key,
+            "' is not a finite number");
 }
 
 void

@@ -59,27 +59,15 @@ class SurgerySimBackend : public engine::Backend
     run(const engine::WorkItem &item,
         const engine::PreparedArtifact *artifact) const override
     {
-        int d = item.resolveDistance();
         SurgeryOptions opts;
-        opts.code_distance = d;
+        opts.fill(item);
+        int d = opts.code_distance;
         // Same convention as the braid backend: Policies 2+ use the
         // interaction-aware layout, below that the naive one.
         opts.optimized_layout = item.config.policy >= 2;
         opts.layout_objective =
             partition::layoutObjective(item.config.layout_objective);
         opts.lane_spacing = item.config.lane_spacing;
-        opts.seed = item.config.seed;
-        opts.fast_forward = item.config.fast_forward;
-        opts.adapt_timeout = item.config.adapt_timeout;
-        opts.bfs_timeout = item.config.bfs_timeout;
-        opts.drop_timeout = item.config.drop_timeout;
-        opts.max_cycles = item.config.max_cycles;
-        opts.magic_production_cycles =
-            item.config.magic_production_cycles;
-        opts.magic_buffer_capacity =
-            item.config.magic_buffer_capacity;
-        opts.defects = item.config.defectParams();
-        opts.trace = item.config.trace;
         SurgeryResult r;
         if (artifact) {
             auto *a = dynamic_cast<const PatchArtifact *>(artifact);
@@ -124,30 +112,7 @@ class SurgerySimBackend : public engine::Backend
         m.set("layout_cost", r.layout_cost);
         m.set("corridor_cost", r.corridor_cost);
         m.set("lane_area_factor", r.lane_area_factor);
-        m.set("ff_skipped_cycles",
-              static_cast<double>(r.ff_skipped_cycles));
-        m.set("ff_skip_ratio",
-              r.schedule_cycles
-                  ? static_cast<double>(r.ff_skipped_cycles)
-                      / static_cast<double>(r.schedule_cycles)
-                  : 0.0);
-        // Only on damaged fabrics, so defect-free rows stay
-        // byte-identical to pre-defect-awareness output.
-        if (item.config.defectParams().enabled()) {
-            m.set("defect_dead_fraction", r.defect_dead_fraction);
-            m.set("defect_avg_multiplier", r.defect_avg_multiplier);
-            m.set("defective_nodes",
-                  static_cast<double>(r.defective_nodes));
-            m.set("defective_links",
-                  static_cast<double>(r.defective_links));
-            m.set("logical_error_proxy",
-                  engine::logicalErrorProxy(
-                      static_cast<double>(
-                          item.circuit->numQubits()),
-                      r.schedule_cycles, d,
-                      item.config.tech.p_physical,
-                      r.defect_avg_multiplier));
-        }
+        engine::setListMetrics(m, r, item);
         return m;
     }
 };

@@ -201,6 +201,17 @@ TEST(JsonParser, IntegersReadExactlyOrNotAtAll)
         EXPECT_FALSE(i64(bad, i)) << bad;
 }
 
+TEST(JsonParser, NumbersReadOnlyWhenFinite)
+{
+    double d = 0;
+    ASSERT_TRUE(parseJson("0.25").number(d));
+    EXPECT_DOUBLE_EQ(d, 0.25);
+    ASSERT_TRUE(parseJson("-3e2").number(d));
+    EXPECT_DOUBLE_EQ(d, -300.0);
+    for (const char *bad : {"1e400", "\"0.5\"", "true", "null", "[1]"})
+        EXPECT_FALSE(parseJson(bad).number(d)) << bad;
+}
+
 TEST(JsonParser, ErrorsThrowWithPosition)
 {
     for (const char *bad :
