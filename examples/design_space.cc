@@ -8,6 +8,10 @@
  *
  * e.g. ./design_space sq 12 1e-5
  *
+ * The numbers are read whole as JSON numbers: an unknown app or a
+ * malformed number prints the usage line and exits 2, and a value
+ * the models reject (pP outside (0, 1), say) exits 1.
+ *
  * One declarative sweep grid (both model backends at one size) on
  * the engine's sweep driver — the same machinery the figure benches
  * run on.
@@ -17,6 +21,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "engine/sweep.h"
@@ -43,6 +48,14 @@ parseApp(const char *name)
           "' (expected gse|sq|sha1|im-semi|im-full)");
 }
 
+int
+usage()
+{
+    std::cerr << "usage: design_space [gse|sq|sha1|im-semi|im-full] "
+                 "[log10_ops] [p_physical]\n";
+    return 2;
+}
+
 void
 describe(const engine::Metrics &m, const char *label)
 {
@@ -60,17 +73,11 @@ describe(const engine::Metrics &m, const char *label)
     t.print(std::cout);
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Compare both codes for @p kind at 10^@p log_ops logical ops on
+ *  physical error rate @p pp, and print the verdict. */
+void
+explore(apps::AppKind kind, double log_ops, double pp)
 {
-    using namespace qsurf;
-
-    apps::AppKind kind =
-        argc > 1 ? parseApp(argv[1]) : apps::AppKind::SQ;
-    double log_ops = argc > 2 ? std::atof(argv[2]) : 10.0;
-    double pp = argc > 3 ? std::atof(argv[3]) : 1e-6;
     double kq = std::pow(10.0, log_ops);
 
     engine::SweepGrid grid;
@@ -102,5 +109,33 @@ main(int argc, char **argv)
     std::cout << "favorability cross-over for this app/technology: "
               << (x ? Table::num(*x) : std::string("beyond 1e24"))
               << " logical ops\n";
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    using namespace qsurf;
+
+    apps::AppKind kind = apps::AppKind::SQ;
+    double log_ops = 10.0;
+    double pp = 1e-6;
+    try {
+        if (argc > 1)
+            kind = parseApp(argv[1]);
+    } catch (const FatalError &) {
+        return usage();
+    }
+    if (argc > 4
+        || (argc > 2 && !parseJsonOrNull(argv[2]).number(log_ops))
+        || (argc > 3 && !parseJsonOrNull(argv[3]).number(pp)))
+        return usage();
+    try {
+        explore(kind, log_ops, pp);
+    } catch (const FatalError &) {
+        // fatal() has already printed the reason.
+        return 1;
+    }
     return 0;
 }

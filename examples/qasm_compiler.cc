@@ -44,22 +44,6 @@ usage()
     return 2;
 }
 
-/**
- * @return the value of a numeric flag, read whole as one JSON value
- * (null when it is not one), so that the number and integer readers
- * the wire codec uses decide what it holds: "abc" and "7xyz" are
- * rejected, not read as a prefix or thrown past main().
- */
-qsurf::JsonValue
-flagValue(const std::string &text)
-{
-    try {
-        return qsurf::parseJson(text);
-    } catch (const qsurf::FatalError &) {
-        return {};
-    }
-}
-
 } // namespace
 
 int
@@ -77,11 +61,11 @@ main(int argc, char **argv)
             config.metrics_path = arg.substr(10);
         } else if (arg.compare(0, 10, "--defects=") == 0) {
             double &density = config.defect_density;
-            if (!flagValue(arg.substr(10)).number(density)
+            if (!parseJsonOrNull(arg.substr(10)).number(density)
                 || density < 0 || density >= 1)
                 return usage();
         } else if (arg.compare(0, 14, "--defect-seed=") == 0) {
-            if (!flagValue(arg.substr(14)).integer(config.defect_seed))
+            if (!parseJsonOrNull(arg.substr(14)).integer(config.defect_seed))
                 return usage();
         } else if (arg.compare(0, 14, "--defect-spec=") == 0) {
             std::ifstream spec(arg.substr(14));

@@ -11,14 +11,16 @@
  * file"), a per-link mesh congestion heatmap next to it
  * ("<stem>.heatmap.json"), and the aggregate counter/histogram
  * registry.  Results are bit-identical to the same run untraced.
+ * --size and --d are read whole as JSON integers; a malformed value
+ * prints the usage line and exits 2.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "apps/apps.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "engine/registry.h"
 #include "obs/trace.h"
@@ -66,9 +68,11 @@ main(int argc, char **argv)
             config.backends.emplace_back(v);
             backend_set = true;
         } else if (const char *v = value("--size=")) {
-            size = std::atoi(v);
+            if (!parseJsonOrNull(v).integer(size))
+                return usage();
         } else if (const char *v = value("--d=")) {
-            config.force_distance = std::atoi(v);
+            if (!parseJsonOrNull(v).integer(config.force_distance))
+                return usage();
         } else if (arg == "--smoke") {
             size = 8;
             config.force_distance = 3;

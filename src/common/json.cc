@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -245,14 +245,17 @@ exactInteger(const JsonValue &v, T &out)
     const char *end = v.str.data() + v.str.size();
     auto [ptr, ec] = std::from_chars(v.str.data(), end, parsed);
     if (ptr == end) {
+        if (ec != std::errc())
+            return false;
         out = parsed;
-        return ec == std::errc();
+        return true;
     }
     // A fraction or exponent ("5.0", "1e3"): exact through the double
     // only below 2^53, where the literal cannot have been rounded.
     if (!std::isfinite(v.num) || v.num != std::trunc(v.num)
         || std::fabs(v.num) >= 0x1p53
-        || (std::is_unsigned_v<T> && v.num < 0))
+        || v.num < static_cast<double>(std::numeric_limits<T>::min())
+        || v.num > static_cast<double>(std::numeric_limits<T>::max()))
         return false;
     out = static_cast<T>(v.num);
     return true;
@@ -279,6 +282,52 @@ bool
 JsonValue::integer(uint64_t &out) const
 {
     return exactInteger(*this, out);
+}
+
+bool
+JsonValue::integer(int &out) const
+{
+    return exactInteger(*this, out);
+}
+
+void
+readJson(const JsonValue &v, const char *where, const std::string &key,
+         double &out)
+{
+    fatalIf(!v.number(out), where, " field '", key,
+            "' is not a finite number");
+}
+
+void
+readJson(const JsonValue &v, const char *where, const std::string &key,
+         int &out)
+{
+    fatalIf(!v.integer(out), where, " field '", key, "' is not an int");
+}
+
+void
+readJson(const JsonValue &v, const char *where, const std::string &key,
+         uint64_t &out)
+{
+    fatalIf(!v.integer(out), where, " field '", key,
+            "' is not an unsigned 64-bit integer");
+}
+
+void
+readJson(const JsonValue &v, const char *where, const std::string &key,
+         bool &out)
+{
+    fatalIf(!v.isBool(), where, " field '", key, "' is not a bool");
+    out = v.boolean;
+}
+
+void
+readJson(const JsonValue &v, const char *where, const std::string &key,
+         std::string &out)
+{
+    fatalIf(!v.isString(), where, " field '", key,
+            "' is not a string");
+    out = v.str;
 }
 
 namespace {
@@ -553,6 +602,16 @@ JsonValue
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+JsonValue
+parseJsonOrNull(const std::string &text)
+{
+    try {
+        return parseJson(text);
+    } catch (const FatalError &) {
+        return {};
+    }
 }
 
 } // namespace qsurf

@@ -140,7 +140,26 @@ struct JsonValue
      */
     bool integer(int64_t &out) const;
     bool integer(uint64_t &out) const;
+    bool integer(int &out) const;
 };
+
+/**
+ * The exact typed readers the wire codec and the sweep row reader
+ * share: read @p v into @p out, or fatal() naming "<where> field
+ * '<key>'" when @p v is another kind or holds a value @p out cannot
+ * hold exactly (a non-finite number; a fractional, negative or
+ * out-of-range integer).
+ */
+void readJson(const JsonValue &v, const char *where,
+              const std::string &key, double &out);
+void readJson(const JsonValue &v, const char *where,
+              const std::string &key, int &out);
+void readJson(const JsonValue &v, const char *where,
+              const std::string &key, uint64_t &out);
+void readJson(const JsonValue &v, const char *where,
+              const std::string &key, bool &out);
+void readJson(const JsonValue &v, const char *where,
+              const std::string &key, std::string &out);
 
 /**
  * Parse @p text as one JSON document (trailing whitespace allowed,
@@ -148,6 +167,14 @@ struct JsonValue
  * description.
  */
 JsonValue parseJson(const std::string &text);
+
+/**
+ * @return @p text parsed as one JSON document, or a Null value when
+ * it is not one.  Command-line tools read a numeric argument whole
+ * with it and the number and integer readers: "abc" and "7xyz" are
+ * rejected, not read as a prefix or thrown past main().
+ */
+JsonValue parseJsonOrNull(const std::string &text);
 
 } // namespace qsurf
 

@@ -37,6 +37,27 @@ Metrics::has(const std::string &name) const
     return false;
 }
 
+void
+writeExtras(JsonWriter &j, const Metrics &m)
+{
+    j.key("extras");
+    j.beginObject();
+    for (const auto &[name, v] : m.extras)
+        j.field(name, v);
+    j.endObject();
+}
+
+void
+readExtras(const JsonValue &extras, const char *where, Metrics &m)
+{
+    fatalIf(!extras.isObject(), where, " 'extras' is not an object");
+    for (const auto &[name, v] : extras.members) {
+        double value = 0;
+        readJson(v, where, name, value);
+        m.extras.emplace_back(name, value);
+    }
+}
+
 double
 WorkItem::logicalOps() const
 {

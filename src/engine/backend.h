@@ -31,6 +31,7 @@
 
 #include "apps/apps.h"
 #include "circuit/circuit.h"
+#include "common/json.h"
 #include "fabric/defect.h"
 #include "qec/code.h"
 #include "qec/technology.h"
@@ -41,7 +42,12 @@ class TraceRecorder;
 
 namespace qsurf::engine {
 
-/** Uniform result record of one backend run (one figure point). */
+/**
+ * Uniform result record of one backend run (one figure point).  Its
+ * fields are listed once, in forEachMetric(): a new field is added
+ * there, and the wire response codec, the sweep row codec and the
+ * field-perturbation test pick it up.
+ */
 struct Metrics
 {
     /** Registry name of the backend that produced the record. */
@@ -93,6 +99,64 @@ struct Metrics
     /** @return true when extra @p name is present. */
     bool has(const std::string &name) const;
 };
+
+/**
+ * The one list of Metrics' fields: calls @p f("name", m.member) once
+ * per field, in the wire's order.  @p m may be const or not.  The
+ * wire response codec and the sweep row writer and reader loop over
+ * it (with writeMetric/readMetric), and `extras` follows as one
+ * ordered object (writeExtras/readExtras).
+ */
+template <typename M, typename F>
+void
+forEachMetric(M &m, F &&f)
+{
+    static_assert(std::is_same_v<std::remove_const_t<M>, Metrics>);
+    f("backend", m.backend);
+    f("code", m.code);
+    f("code_distance", m.code_distance);
+    f("schedule_cycles", m.schedule_cycles);
+    f("critical_path_cycles", m.critical_path_cycles);
+    f("physical_qubits", m.physical_qubits);
+    f("seconds", m.seconds);
+}
+
+/** Write forEachMetric field @p name as a member of @p j's open
+ *  object; the code kind travels by name. */
+template <typename T>
+void
+writeMetric(JsonWriter &j, const char *name, const T &v)
+{
+    if constexpr (std::is_same_v<T, qec::CodeKind>)
+        j.field(name, qec::codeKindName(v));
+    else
+        j.field(name, v);
+}
+
+/** Read forEachMetric field @p name from @p v exactly into @p out
+ *  (see readJson); fatal() naming @p where when it cannot. */
+template <typename T>
+void
+readMetric(const JsonValue &v, const char *where, const char *name,
+           T &out)
+{
+    if constexpr (std::is_same_v<T, qec::CodeKind>) {
+        std::string kind;
+        readJson(v, where, name, kind);
+        out = qec::parseCodeKind(kind);
+    } else {
+        readJson(v, where, name, out);
+    }
+}
+
+/** Write @p m.extras as an "extras" object member of @p j, in
+ *  order. */
+void writeExtras(JsonWriter &j, const Metrics &m);
+
+/** Append the members of "extras" object @p extras to @p m.extras,
+ *  in order; fatal() naming @p where on a non-object or a member
+ *  that is not a number. */
+void readExtras(const JsonValue &extras, const char *where, Metrics &m);
 
 /** Parameters of one backend run, common across backends. */
 struct RunConfig

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "circuit/decompose.h"
@@ -25,37 +26,18 @@ namespace {
 constexpr const char *kRowsStreamName = "qsurf-sweep-rows";
 constexpr int kRowsStreamVersion = 1;
 
-qec::CodeKind
-parseCodeKind(const std::string &name)
-{
-    for (qec::CodeKind kind :
-         {qec::CodeKind::Planar, qec::CodeKind::DoubleDefect})
-        if (name == qec::codeKindName(kind))
-            return kind;
-    fatal("unknown code kind '", name, "' in sweep row");
-}
-
-double
-numberField(const JsonValue &row, const std::string &key,
-            bool required = true, double fallback = 0)
+/** Read member @p key of sweep row @p row exactly into @p out (see
+ *  readMetric); fatal() when it is missing and @p required, or when
+ *  @p out cannot hold it. */
+template <typename T>
+void
+rowField(const JsonValue &row, const char *key, T &out,
+         bool required = true)
 {
     const JsonValue *v = row.find(key);
-    if (!v) {
-        fatalIf(required, "sweep row is missing '", key, "'");
-        return fallback;
-    }
-    fatalIf(!v->isNumber(), "sweep row field '", key,
-            "' is not a number");
-    return v->num;
-}
-
-std::string
-stringField(const JsonValue &row, const std::string &key)
-{
-    const JsonValue *v = row.find(key);
-    fatalIf(!v || !v->isString(), "sweep row is missing string '",
-            key, "'");
-    return v->str;
+    fatalIf(!v && required, "sweep row is missing '", key, "'");
+    if (v)
+        readMetric(*v, "sweep row", key, out);
 }
 
 /** The rows path the options resolve to, or "" when streaming is
@@ -511,28 +493,34 @@ defaultThreads()
 void
 writeSweepRow(JsonWriter &j, const SweepPoint &p, bool timing)
 {
+    // The Metrics fields in forEachMetric order, with the grid axes
+    // and the derived ratio and space-time interleaved where rows
+    // have always carried them: resumable row files and shard
+    // merges compare these bytes.
     j.beginObject();
     j.field("app", p.app_name);
-    j.field("backend", p.backend);
-    j.field("code", qec::codeKindName(p.metrics.code));
-    j.field("policy", p.policy);
-    j.field("arbiter", p.arbiter);
-    j.field("layout_objective", p.layout_objective);
-    if (p.epr_window >= 0)
-        j.field("epr_window", p.epr_window);
-    j.field("code_distance", p.metrics.code_distance);
-    if (p.kq > 0)
-        j.field("kq", p.kq);
-    // Emitted only when damaged, like the optional axes above, so
-    // density-0 rows stay byte-identical to pre-defect output.
-    if (p.defect > 0)
-        j.field("defect", p.defect);
-    j.field("schedule_cycles", p.metrics.schedule_cycles);
-    j.field("critical_path_cycles", p.metrics.critical_path_cycles);
-    j.field("ratio", p.metrics.ratio());
-    j.field("physical_qubits", p.metrics.physical_qubits);
-    j.field("seconds", p.metrics.seconds);
-    j.field("space_time", p.metrics.spaceTime());
+    forEachMetric(p.metrics, [&](std::string_view name, const auto &v) {
+        writeMetric(j, name.data(), v);
+        if (name == "code") {
+            j.field("policy", p.policy);
+            j.field("arbiter", p.arbiter);
+            j.field("layout_objective", p.layout_objective);
+            if (p.epr_window >= 0)
+                j.field("epr_window", p.epr_window);
+        } else if (name == "code_distance") {
+            if (p.kq > 0)
+                j.field("kq", p.kq);
+            // Emitted only when damaged, like the optional axes
+            // above, so density-0 rows stay byte-identical to
+            // pre-defect output.
+            if (p.defect > 0)
+                j.field("defect", p.defect);
+        } else if (name == "critical_path_cycles") {
+            j.field("ratio", p.metrics.ratio());
+        } else if (name == "seconds") {
+            j.field("space_time", p.metrics.spaceTime());
+        }
+    });
     if (timing) {
         j.field("wall_ms", p.wall_ms);
         j.field("prepare_ms", p.prepare_ms);
@@ -541,13 +529,8 @@ writeSweepRow(JsonWriter &j, const SweepPoint &p, bool timing)
         j.field("arena_bytes", p.arena_bytes);
         j.field("heap_allocs", p.heap_allocs);
     }
-    if (!p.metrics.extras.empty()) {
-        j.key("extras");
-        j.beginObject();
-        for (const auto &[name, v] : p.metrics.extras)
-            j.field(name, v);
-        j.endObject();
-    }
+    if (!p.metrics.extras.empty())
+        writeExtras(j, p.metrics);
     j.endObject();
 }
 
@@ -571,48 +554,30 @@ parseSweepRowLine(const std::string &line)
     JsonValue doc = parseJson(line);
     fatalIf(!doc.isObject(), "sweep row line is not an object");
     SweepPoint p;
-    p.index = static_cast<size_t>(numberField(doc, "index"));
+    uint64_t index = 0;
+    rowField(doc, "index", index);
+    p.index = index;
     const JsonValue *row = doc.find("row");
     fatalIf(!row || !row->isObject(),
             "sweep row line is missing the 'row' object");
-    p.app_name = stringField(*row, "app");
-    p.backend = stringField(*row, "backend");
-    p.metrics.backend = p.backend;
-    p.metrics.code = parseCodeKind(stringField(*row, "code"));
-    p.policy = static_cast<int>(numberField(*row, "policy"));
-    p.arbiter = static_cast<int>(numberField(*row, "arbiter"));
-    p.layout_objective =
-        static_cast<int>(numberField(*row, "layout_objective"));
-    p.epr_window = static_cast<int>(
-        numberField(*row, "epr_window", false, -1));
-    p.metrics.code_distance =
-        static_cast<int>(numberField(*row, "code_distance"));
-    p.kq = numberField(*row, "kq", false, 0);
-    p.defect = numberField(*row, "defect", false, 0);
-    p.metrics.schedule_cycles = static_cast<uint64_t>(
-        numberField(*row, "schedule_cycles"));
-    p.metrics.critical_path_cycles = static_cast<uint64_t>(
-        numberField(*row, "critical_path_cycles"));
-    p.metrics.physical_qubits =
-        numberField(*row, "physical_qubits");
-    p.metrics.seconds = numberField(*row, "seconds");
-    p.wall_ms = numberField(*row, "wall_ms", false, 0);
-    p.prepare_ms = numberField(*row, "prepare_ms", false, 0);
-    p.arena_allocs = static_cast<uint64_t>(
-        numberField(*row, "arena_allocs", false, 0));
-    p.arena_bytes = static_cast<uint64_t>(
-        numberField(*row, "arena_bytes", false, 0));
-    p.heap_allocs = static_cast<uint64_t>(
-        numberField(*row, "heap_allocs", false, 0));
-    if (const JsonValue *extras = row->find("extras")) {
-        fatalIf(!extras->isObject(),
-                "sweep row 'extras' is not an object");
-        for (const auto &[name, v] : extras->members) {
-            fatalIf(!v.isNumber(), "sweep row extra '", name,
-                    "' is not a number");
-            p.metrics.extras.emplace_back(name, v.num);
-        }
-    }
+    rowField(*row, "app", p.app_name);
+    forEachMetric(p.metrics, [row](const char *name, auto &v) {
+        rowField(*row, name, v);
+    });
+    p.backend = p.metrics.backend;
+    rowField(*row, "policy", p.policy);
+    rowField(*row, "arbiter", p.arbiter);
+    rowField(*row, "layout_objective", p.layout_objective);
+    rowField(*row, "epr_window", p.epr_window, false);
+    rowField(*row, "kq", p.kq, false);
+    rowField(*row, "defect", p.defect, false);
+    rowField(*row, "wall_ms", p.wall_ms, false);
+    rowField(*row, "prepare_ms", p.prepare_ms, false);
+    rowField(*row, "arena_allocs", p.arena_allocs, false);
+    rowField(*row, "arena_bytes", p.arena_bytes, false);
+    rowField(*row, "heap_allocs", p.heap_allocs, false);
+    if (const JsonValue *extras = row->find("extras"))
+        readExtras(*extras, "sweep row", p.metrics);
     return p;
 }
 

@@ -359,7 +359,8 @@ void writeSweepRowLine(std::ostream &os, const SweepPoint &p);
  * SweepPoint.  Round-trips exactly: numbers use shortest
  * round-trippable formatting, so write(parse(line)) == line and a
  * merged document is byte-identical to one written in-process.
- * fatal()s on malformed input.
+ * fatal()s on malformed input, including a number its field cannot
+ * hold exactly (read with the wire codec's readers, readJson).
  */
 SweepPoint parseSweepRowLine(const std::string &line);
 

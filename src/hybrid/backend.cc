@@ -82,12 +82,6 @@ class HybridBackend : public engine::Backend
         opts.teleport_overhead_cycles = mk.teleport_cycles;
         opts.mesh_saturation = mk.dd_max_utilization;
         opts.epr_bandwidth = item.config.epr_bandwidth;
-        // Same convention as the other simulators: Policies 2+ use
-        // the interaction-aware layout.
-        opts.optimized_layout = item.config.policy >= 2;
-        opts.layout_objective =
-            partition::layoutObjective(item.config.layout_objective);
-        opts.lane_spacing = item.config.lane_spacing;
         HybridResult r;
         if (artifact) {
             auto *a = dynamic_cast<const surgery::PatchArtifact *>(

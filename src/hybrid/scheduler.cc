@@ -342,24 +342,12 @@ class HybridScheduler final
 
 } // namespace
 
-surgery::PatchArchOptions
-patchArchOptions(const HybridOptions &opts)
-{
-    surgery::PatchArchOptions a;
-    a.patches_per_factory = opts.patches_per_factory;
-    a.optimized_layout = opts.optimized_layout;
-    a.layout_objective = opts.layout_objective;
-    a.lane_spacing = opts.lane_spacing;
-    a.seed = opts.seed;
-    a.defects = opts.defects;
-    return a;
-}
-
 HybridResult
 scheduleHybrid(const circuit::Circuit &circ, const HybridOptions &opts)
 {
     fatalIf(circ.empty(), "cannot schedule an empty circuit");
-    surgery::PatchPrepared prepared(circ, patchArchOptions(opts));
+    surgery::PatchPrepared prepared(circ,
+                                    surgery::patchArchOptions(opts));
     return scheduleHybrid(circ, opts, prepared);
 }
 

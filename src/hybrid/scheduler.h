@@ -40,17 +40,15 @@
 #include <cstdint>
 
 #include "circuit/circuit.h"
-#include "engine/list_scheduler.h"
 #include "hybrid/arbiter.h"
-#include "partition/layout.h"
-#include "surgery/patch_arch.h"
+#include "surgery/chain_scheduler.h"
 
 namespace qsurf::hybrid {
 
-/** Simulation knobs (the shared ones are engine::ListOptions;
- *  drop_timeout is also the congestion-reactive arbiter's
- *  teleport-fallback trigger). */
-struct HybridOptions : engine::ListOptions
+/** Simulation knobs (the shared ones, patch layout included, are
+ *  surgery::PatchListOptions; drop_timeout is also the
+ *  congestion-reactive arbiter's teleport-fallback trigger). */
+struct HybridOptions : surgery::PatchListOptions
 {
     /** Scheme arbitration policy. */
     ArbiterKind arbiter = ArbiterKind::CostGreedy;
@@ -81,20 +79,6 @@ struct HybridOptions : engine::ListOptions
      * sizes it from the machine (patch-grid width + height).
      */
     int epr_bandwidth = 0;
-
-    /** Data patches per magic-state factory patch. */
-    int patches_per_factory = 8;
-
-    /** Use the interaction-aware layout. */
-    bool optimized_layout = true;
-
-    /** Patch-layout objective (shared with the surgery backend:
-     *  corridor-aware refinement and optional dedicated lanes). */
-    partition::LayoutObjective layout_objective =
-        partition::LayoutObjective::BraidManhattan;
-
-    /** Patch rows/columns between dedicated ancilla lanes. */
-    int lane_spacing = 4;
 
     /** Cost penalty per unit of per-route defect exposure on the
      *  mesh-borne schemes (ArbiterCosts::defect_penalty). */
@@ -143,14 +127,6 @@ struct HybridResult : engine::ListResult
 };
 
 /**
- * @return the PatchArchOptions @p opts resolves to — field-for-field
- * the same mapping as surgery::patchArchOptions, which is what lets
- * the hybrid and surgery backends share one cached
- * surgery::PatchPrepared artifact.
- */
-surgery::PatchArchOptions patchArchOptions(const HybridOptions &opts);
-
-/**
  * Simulate mixed-scheme scheduling of @p circ (which must already
  * be decomposed to Clifford+T).
  */
@@ -159,7 +135,8 @@ HybridResult scheduleHybrid(const circuit::Circuit &circ,
 
 /**
  * Same simulation, reusing @p prepared (built for this circuit with
- * patchArchOptions(opts)); bit-identical to the inline path.
+ * surgery::patchArchOptions(opts)); bit-identical to the inline
+ * path.
  */
 HybridResult scheduleHybrid(const circuit::Circuit &circ,
                             const HybridOptions &opts,

@@ -12,6 +12,15 @@ codeKindName(CodeKind kind)
     return kind == CodeKind::Planar ? "planar" : "double-defect";
 }
 
+CodeKind
+parseCodeKind(const std::string &name)
+{
+    for (CodeKind kind : {CodeKind::Planar, CodeKind::DoubleDefect})
+        if (name == codeKindName(kind))
+            return kind;
+    fatal("unknown code kind '", name, "'");
+}
+
 double
 CodeModel::logicalErrorPerOp(double p_physical, int d)
 {

@@ -9,6 +9,7 @@
 #define QSURF_QEC_CODE_H
 
 #include <cstdint>
+#include <string>
 
 #include "qec/technology.h"
 
@@ -23,6 +24,10 @@ enum class CodeKind : uint8_t
 
 /** @return "planar" or "double-defect". */
 const char *codeKindName(CodeKind kind);
+
+/** @return the kind codeKindName() names @p name; fatal() on any
+ *  other name. */
+CodeKind parseCodeKind(const std::string &name);
 
 /**
  * Surface-code strength model.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -167,63 +165,13 @@ parseAppKind(const std::string &name)
     fatal("unknown app '", name, "' in wire request");
 }
 
-qec::CodeKind
-parseCodeKind(const std::string &name)
-{
-    for (qec::CodeKind kind :
-         {qec::CodeKind::Planar, qec::CodeKind::DoubleDefect})
-        if (name == qec::codeKindName(kind))
-            return kind;
-    fatal("unknown code kind '", name, "' in wire response");
-}
-
-/** Range-checked readers, one per field type: a value of the wrong
- *  kind, or one @p out cannot hold exactly, is fatal. */
-void
-readValue(const JsonValue &v, const std::string &key, double &out)
-{
-    fatalIf(!v.number(out), "wire field '", key,
-            "' is not a finite number");
-}
-
-void
-readValue(const JsonValue &v, const std::string &key, int &out)
-{
-    int64_t i = 0;
-    fatalIf(!v.integer(i) || i < std::numeric_limits<int>::min()
-                || i > std::numeric_limits<int>::max(),
-            "wire field '", key, "' is not an int");
-    out = static_cast<int>(i);
-}
-
-void
-readValue(const JsonValue &v, const std::string &key, uint64_t &out)
-{
-    fatalIf(!v.integer(out), "wire field '", key,
-            "' is not an unsigned 64-bit integer");
-}
-
-void
-readValue(const JsonValue &v, const std::string &key, bool &out)
-{
-    fatalIf(!v.isBool(), "wire field '", key, "' is not a bool");
-    out = v.boolean;
-}
-
-void
-readValue(const JsonValue &v, const std::string &key, std::string &out)
-{
-    fatalIf(!v.isString(), "wire field '", key, "' is not a string");
-    out = v.str;
-}
-
 /** Read member @p key of @p obj into @p out; absent leaves it. */
 template <typename T>
 void
 read(const JsonValue &obj, const std::string &key, T &out)
 {
     if (const JsonValue *v = obj.find(key))
-        readValue(*v, key, out);
+        readJson(*v, "wire", key, out);
 }
 
 template <typename T>
@@ -623,7 +571,7 @@ decodeSweepGrid(const std::string &json)
                 "' is not an array");
         out.assign(v->items.size(), {});
         for (size_t i = 0; i < out.size(); ++i)
-            readValue(v->items[i], name, out[i]);
+            readJson(v->items[i], "wire", name, out[i]);
     };
     axis("policies", grid.policies);
     axis("arbiters", grid.arbiters);
@@ -647,21 +595,13 @@ encodeCompileResponse(const CompileResponse &resp)
     j.field("prepare_ms", resp.prepare_ms);
     j.field("run_ms", resp.run_ms);
     j.field("batch_size", resp.batch_size);
-    const engine::Metrics &m = resp.metrics;
     j.key("metrics");
     j.beginObject();
-    j.field("backend", m.backend);
-    j.field("code", qec::codeKindName(m.code));
-    j.field("code_distance", m.code_distance);
-    j.field("schedule_cycles", m.schedule_cycles);
-    j.field("critical_path_cycles", m.critical_path_cycles);
-    j.field("physical_qubits", m.physical_qubits);
-    j.field("seconds", m.seconds);
-    j.key("extras");
-    j.beginObject();
-    for (const auto &[name, v] : m.extras)
-        j.field(name, v);
-    j.endObject();
+    engine::forEachMetric(
+        resp.metrics, [&j](const char *name, const auto &v) {
+            engine::writeMetric(j, name, v);
+        });
+    engine::writeExtras(j, resp.metrics);
     j.endObject();
     j.endObject();
     return os.str();
@@ -679,24 +619,12 @@ decodeCompileResponse(const std::string &json)
     read(doc, "batch_size", resp.batch_size);
     if (const JsonValue *m = doc.find("metrics")) {
         fatalIf(!m->isObject(), "wire 'metrics' is not an object");
-        read(*m, "backend", resp.metrics.backend);
-        resp.metrics.code = parseCodeKind(get<std::string>(
-            *m, "code", qec::codeKindName(resp.metrics.code)));
-        read(*m, "code_distance", resp.metrics.code_distance);
-        read(*m, "schedule_cycles", resp.metrics.schedule_cycles);
-        read(*m, "critical_path_cycles",
-             resp.metrics.critical_path_cycles);
-        read(*m, "physical_qubits", resp.metrics.physical_qubits);
-        read(*m, "seconds", resp.metrics.seconds);
-        if (const JsonValue *extras = m->find("extras")) {
-            fatalIf(!extras->isObject(),
-                    "wire 'extras' is not an object");
-            for (const auto &[name, v] : extras->members) {
-                fatalIf(!v.isNumber(), "wire extra '", name,
-                        "' is not a number");
-                resp.metrics.extras.emplace_back(name, v.num);
-            }
-        }
+        engine::forEachMetric(resp.metrics, [m](const char *name, auto &v) {
+            if (const JsonValue *f = m->find(name))
+                engine::readMetric(*f, "wire", name, v);
+        });
+        if (const JsonValue *extras = m->find("extras"))
+            engine::readExtras(*extras, "wire", resp.metrics);
     }
     return resp;
 }

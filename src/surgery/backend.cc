@@ -62,12 +62,6 @@ class SurgerySimBackend : public engine::Backend
         SurgeryOptions opts;
         opts.fill(item);
         int d = opts.code_distance;
-        // Same convention as the braid backend: Policies 2+ use the
-        // interaction-aware layout, below that the naive one.
-        opts.optimized_layout = item.config.policy >= 2;
-        opts.layout_objective =
-            partition::layoutObjective(item.config.layout_objective);
-        opts.lane_spacing = item.config.lane_spacing;
         SurgeryResult r;
         if (artifact) {
             auto *a = dynamic_cast<const PatchArtifact *>(artifact);
@@ -190,16 +184,10 @@ patchArtifactKey(const engine::WorkItem &item)
 std::shared_ptr<const engine::PreparedArtifact>
 buildPatchArtifact(const engine::WorkItem &item)
 {
-    // The SurgeryOptions defaults carry patches_per_factory; the
-    // hybrid scheduler's patchArchOptions() maps its own options to
-    // the very same PatchArchOptions, so this artifact serves both.
-    SurgeryOptions opts;
-    opts.optimized_layout = item.config.policy >= 2;
-    opts.layout_objective =
-        partition::layoutObjective(item.config.layout_objective);
-    opts.lane_spacing = item.config.lane_spacing;
-    opts.seed = item.config.seed;
-    opts.defects = item.config.defectParams();
+    // The surgery and hybrid simulators fill the same
+    // PatchListOptions from an item, so this artifact serves both.
+    PatchListOptions opts;
+    opts.fill(item);
     return std::make_shared<const PatchArtifact>(
         *item.circuit, patchArchOptions(opts));
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "engine/backend.h"
 
 namespace qsurf::surgery {
 
@@ -112,8 +113,18 @@ chainCycles(double rounds_per_hop, int code_distance, int tiles)
         * static_cast<double>(std::max(1, tiles))));
 }
 
+void
+PatchListOptions::fill(const engine::WorkItem &item)
+{
+    ListOptions::fill(item);
+    const engine::RunConfig &c = item.config;
+    optimized_layout = c.policy >= 2;
+    layout_objective = partition::layoutObjective(c.layout_objective);
+    lane_spacing = c.lane_spacing;
+}
+
 PatchArchOptions
-patchArchOptions(const SurgeryOptions &opts)
+patchArchOptions(const PatchListOptions &opts)
 {
     PatchArchOptions a;
     a.patches_per_factory = opts.patches_per_factory;

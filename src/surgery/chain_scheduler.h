@@ -32,13 +32,14 @@
 
 namespace qsurf::surgery {
 
-/** Simulation knobs (the shared ones are engine::ListOptions). */
-struct SurgeryOptions : engine::ListOptions
+/**
+ * The list-scheduler knobs of the patch machine, shared by the
+ * surgery and hybrid simulators.  The patch-layout inputs both must
+ * agree on to share one PatchPrepared artifact are declared here
+ * once.
+ */
+struct PatchListOptions : engine::ListOptions
 {
-    /** Merge + split rounds per chain tile (2 = one merge + one
-     *  split), matching estimate::SurgeryConstants. */
-    double rounds_per_hop = 2.0;
-
     /** Data patches per magic-state factory patch. */
     int patches_per_factory = 8;
 
@@ -53,6 +54,20 @@ struct SurgeryOptions : engine::ListOptions
 
     /** Patch rows/columns between dedicated ancilla lanes. */
     int lane_spacing = 4;
+
+    /** ListOptions::fill(), plus the patch layout of @p item's
+     *  RunConfig: Policies 2+ use the interaction-aware layout (the
+     *  braid backend's convention), with the configured objective
+     *  and lane spacing. */
+    void fill(const engine::WorkItem &item);
+};
+
+/** Simulation knobs (the shared ones are PatchListOptions). */
+struct SurgeryOptions : PatchListOptions
+{
+    /** Merge + split rounds per chain tile (2 = one merge + one
+     *  split), matching estimate::SurgeryConstants. */
+    double rounds_per_hop = 2.0;
 };
 
 /** Results of one chain-scheduling run. */
@@ -95,13 +110,12 @@ uint64_t chainCycles(double rounds_per_hop, int code_distance,
                      int tiles);
 
 /**
- * @return the PatchArchOptions @p opts resolves to — the layout
+ * @return the PatchArchOptions @p opts resolves to: the layout
  * inputs a cached PatchPrepared must have been built with.  The
- * hybrid scheduler derives the *same* options from its own knobs
- * (hybrid::patchArchOptions), which is what lets the two backends
- * share one artifact.
+ * surgery and hybrid simulators both map their options through it,
+ * which is what lets the two backends share one artifact.
  */
-PatchArchOptions patchArchOptions(const SurgeryOptions &opts);
+PatchArchOptions patchArchOptions(const PatchListOptions &opts);
 
 /**
  * Simulate lattice-surgery scheduling of @p circ (which must

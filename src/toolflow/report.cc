@@ -24,32 +24,32 @@ format(const Report &report)
     frontend.addRow("code distance d", report.code_distance);
     frontend.print(os);
 
+    const engine::Metrics &pl = report.planar;
+    const engine::Metrics &dd = report.double_defect;
+    // Integer counters print as integers.
+    auto count = [](const engine::Metrics &m, const char *name) {
+        return static_cast<uint64_t>(m.extra(name));
+    };
     Table backends("Backend comparison (planar vs double-defect)");
     backends.header({"metric", "planar", "double-defect"});
-    backends.addRow("schedule cycles",
-                    report.planar.schedule_cycles,
-                    report.double_defect.schedule_cycles);
-    backends.addRow("critical path",
-                    report.planar.critical_path_cycles,
-                    report.double_defect.critical_path_cycles);
-    backends.addRow("sched/CP ratio",
-                    Table::fixed(report.planar.cp_ratio, 2),
-                    Table::fixed(report.double_defect.cp_ratio, 2));
+    backends.addRow("schedule cycles", pl.schedule_cycles,
+                    dd.schedule_cycles);
+    backends.addRow("critical path", pl.critical_path_cycles,
+                    dd.critical_path_cycles);
+    backends.addRow("sched/CP ratio", Table::fixed(pl.ratio(), 2),
+                    Table::fixed(dd.ratio(), 2));
     backends.addRow("mesh utilization", std::string("-"),
-                    Table::fixed(
-                        report.double_defect.mesh_utilization, 3));
-    backends.addRow("teleports", report.planar.teleports,
+                    Table::fixed(dd.extra("mesh_utilization"), 3));
+    backends.addRow("teleports", count(pl, "teleports"),
                     static_cast<uint64_t>(0));
-    backends.addRow("peak live EPRs", report.planar.peak_live_eprs,
+    backends.addRow("peak live EPRs", count(pl, "peak_live_eprs"),
                     static_cast<uint64_t>(0));
-    backends.addRow("physical qubits",
-                    Table::num(report.planar.physical_qubits),
-                    Table::num(report.double_defect.physical_qubits));
-    backends.addRow("seconds", Table::num(report.planar.seconds),
-                    Table::num(report.double_defect.seconds));
-    backends.addRow("space-time (qubit-s)",
-                    Table::num(report.planar.spaceTime()),
-                    Table::num(report.double_defect.spaceTime()));
+    backends.addRow("physical qubits", Table::num(pl.physical_qubits),
+                    Table::num(dd.physical_qubits));
+    backends.addRow("seconds", Table::num(pl.seconds),
+                    Table::num(dd.seconds));
+    backends.addRow("space-time (qubit-s)", Table::num(pl.spaceTime()),
+                    Table::num(dd.spaceTime()));
     backends.print(os);
 
     // Any further registry backends the config requested (e.g. the

@@ -14,28 +14,6 @@
 
 namespace qsurf::toolflow {
 
-namespace {
-
-/** Map a uniform engine record onto the per-backend report. */
-BackendReport
-toBackendReport(const engine::Metrics &m)
-{
-    BackendReport b;
-    b.code = m.code;
-    b.schedule_cycles = m.schedule_cycles;
-    b.critical_path_cycles = m.critical_path_cycles;
-    b.cp_ratio = m.ratio();
-    b.mesh_utilization = m.extra("mesh_utilization");
-    b.teleports = static_cast<uint64_t>(m.extra("teleports"));
-    b.peak_live_eprs =
-        static_cast<uint64_t>(m.extra("peak_live_eprs"));
-    b.physical_qubits = m.physical_qubits;
-    b.seconds = m.seconds;
-    return b;
-}
-
-} // namespace
-
 Report
 run(const circuit::Circuit &logical, const Config &config)
 {
@@ -133,9 +111,9 @@ run(const circuit::Circuit &logical, const Config &config)
             session.endRun(std::move(rec));
         }
         if (m.backend == engine::backends::planar)
-            report.planar = toBackendReport(m);
+            report.planar = m;
         else if (m.backend == engine::backends::double_defect)
-            report.double_defect = toBackendReport(m);
+            report.double_defect = m;
         report.backend_metrics.push_back(std::move(m));
     }
 

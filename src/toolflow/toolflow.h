@@ -87,23 +87,6 @@ struct Config : engine::RunConfig
     std::string metrics_path;
 };
 
-/** Per-backend outcome. */
-struct BackendReport
-{
-    qec::CodeKind code = qec::CodeKind::Planar;
-    uint64_t schedule_cycles = 0;
-    uint64_t critical_path_cycles = 0;
-    double cp_ratio = 0;          ///< schedule / critical path.
-    double mesh_utilization = 0;  ///< double-defect only.
-    uint64_t teleports = 0;       ///< planar only.
-    uint64_t peak_live_eprs = 0;  ///< planar only.
-    double physical_qubits = 0;
-    double seconds = 0;
-
-    /** @return the space-time product (qubits x seconds). */
-    double spaceTime() const { return physical_qubits * seconds; }
-};
-
 /** Full report of one toolflow run. */
 struct Report
 {
@@ -113,8 +96,8 @@ struct Report
     circuit::PeepholeStats peephole;        ///< Frontend rewrites.
     int code_distance = 0;
     double target_logical_error = 0;
-    BackendReport planar;
-    BackendReport double_defect;
+    engine::Metrics planar;        ///< The "planar" run, if any.
+    engine::Metrics double_defect; ///< The "double-defect" run, if any.
 
     /**
      * Uniform engine metrics of every backend that ran, in dispatch

@@ -220,5 +220,85 @@ TEST(Sweep, LabelOverridesAppName)
     EXPECT_EQ(results[0].app_name, "my-workload");
 }
 
+/** @return @p line with the value of member @p key replaced by the
+ *  literal @p value (the first occurrence: "index" is the line's own,
+ *  every other key sits in its one "row" object). */
+std::string
+withValue(const std::string &line, const std::string &key,
+          const std::string &value)
+{
+    std::string needle = "\"" + key + "\": ";
+    size_t at = line.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    at += needle.size();
+    size_t end = line.find_first_of(",}", at);
+    return line.substr(0, at) + value + line.substr(end);
+}
+
+TEST(Sweep, RowReaderRejectsValuesTheFieldCannotHold)
+{
+    setQuiet(true);
+    SweepGrid grid;
+    grid.apps = {{apps::AppKind::SQ, {}, ""}};
+    grid.backends = {backends::planar_model,
+                     backends::double_defect_model};
+    grid.sizes = {1e4, 1e6};
+    std::string path = ::testing::TempDir() + "/qsurf_hostile.jsonl";
+    std::remove(path.c_str());
+    SweepOptions opts;
+    opts.rows_path = path;
+    std::vector<SweepPoint> fresh = SweepDriver().run(grid, opts);
+    ASSERT_EQ(fresh.size(), 4u);
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 5u); // The header and one line per point.
+    const std::string &good = lines[2];
+    EXPECT_NO_THROW(parseSweepRowLine(good));
+
+    // Each value is valid JSON the old double-cast reader accepted
+    // as something else: -10 cycles as 2^64 - 10, 1e20 as INT_MIN,
+    // 5.7 as 5 and index 0.5 as row 0.
+    const std::pair<const char *, const char *> hostile[] = {
+        {"schedule_cycles", "-10"}, {"code_distance", "5.7"},
+        {"code_distance", "1e20"},  {"index", "-1"},
+        {"index", "0.5"},
+    };
+    for (const auto &[key, value] : hostile) {
+        std::string bad = withValue(good, key, value);
+        EXPECT_THROW(parseSweepRowLine(bad), FatalError)
+            << key << ": " << value;
+
+        // Resume treats the line as torn: the row before it merges,
+        // that row and every later one run again.
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << lines[0] << "\n" << lines[1] << "\n" << bad << "\n"
+                << lines[3] << "\n" << lines[4] << "\n";
+        }
+        std::vector<SweepPoint> points = expandSweepPoints(grid);
+        std::vector<uint8_t> done(points.size(), 0);
+        size_t valid = 0;
+        EXPECT_EQ(loadSweepRows(path, grid, "", points, done, &valid),
+                  1u)
+            << key << ": " << value;
+        EXPECT_EQ(done, (std::vector<uint8_t>{1, 0, 0, 0}))
+            << key << ": " << value;
+        EXPECT_EQ(valid, lines[0].size() + lines[1].size() + 2)
+            << key << ": " << value;
+
+        SweepOptions resume = opts;
+        resume.resume = true;
+        EXPECT_EQ(canonicalSweepRows(SweepDriver().run(grid, resume)),
+                  canonicalSweepRows(fresh))
+            << key << ": " << value;
+    }
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace qsurf::engine

@@ -33,8 +33,8 @@ TEST(Toolflow, RunsOnSerialApp)
     EXPECT_GE(r.code_distance, 3);
     EXPECT_GT(r.planar.schedule_cycles, 0u);
     EXPECT_GT(r.double_defect.schedule_cycles, 0u);
-    EXPECT_GE(r.planar.cp_ratio, 1.0);
-    EXPECT_GE(r.double_defect.cp_ratio, 1.0);
+    EXPECT_GE(r.planar.ratio(), 1.0);
+    EXPECT_GE(r.double_defect.ratio(), 1.0);
 }
 
 TEST(Toolflow, SmallAppsRecommendPlanar)
