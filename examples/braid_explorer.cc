@@ -7,52 +7,38 @@
  *
  *   $ ./braid_explorer [app] [problem_size] [iterations]
  *
- * where app is one of: gse, sq, sha1, im-semi, im-full.
+ * where app is one of: gse, sq, sha1, im-semi, im-full.  The sizes
+ * are read whole as JSON integers: an unknown app or a malformed
+ * number prints the usage line and exits 2, and a size the
+ * generators reject (below 2) exits 1.
  */
 
-#include <cstring>
 #include <iostream>
 
-#include "common/logging.h"
 #include "apps/apps.h"
 #include "braid/scheduler.h"
 #include "circuit/decompose.h"
+#include "common/json.h"
+#include "common/logging.h"
 #include "common/table.h"
 
 namespace {
 
 using namespace qsurf;
 
-apps::AppKind
-parseApp(const char *name)
+int
+usage()
 {
-    if (!std::strcmp(name, "gse"))
-        return apps::AppKind::GSE;
-    if (!std::strcmp(name, "sq"))
-        return apps::AppKind::SQ;
-    if (!std::strcmp(name, "sha1"))
-        return apps::AppKind::SHA1;
-    if (!std::strcmp(name, "im-semi"))
-        return apps::AppKind::IsingSemi;
-    if (!std::strcmp(name, "im-full"))
-        return apps::AppKind::IsingFull;
-    fatal("unknown app '", name,
-          "' (expected gse|sq|sha1|im-semi|im-full)");
+    std::cerr << "usage: braid_explorer [" << apps::kAppArgNames
+              << "] [problem_size] [iterations]\n";
+    return 2;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Generate @p kind, sweep the seven policies and print the
+ *  table. */
+void
+explore(apps::AppKind kind, const apps::GenOptions &gopts)
 {
-    using namespace qsurf;
-
-    apps::AppKind kind =
-        argc > 1 ? parseApp(argv[1]) : apps::AppKind::IsingSemi;
-    apps::GenOptions gopts;
-    gopts.problem_size = argc > 2 ? std::atoi(argv[2]) : 36;
-    gopts.max_iterations = argc > 3 ? std::atoi(argv[3]) : 3;
-
     circuit::Circuit circ =
         circuit::decompose(apps::generate(kind, gopts));
     std::cout << "Workload: " << apps::appSpec(kind).name << ", "
@@ -82,5 +68,30 @@ main(int argc, char **argv)
                  Table::fixed(r.mesh_utilization, 3));
     }
     t.print(std::cout);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    using namespace qsurf;
+
+    apps::AppKind kind = apps::AppKind::IsingSemi;
+    apps::GenOptions gopts;
+    gopts.problem_size = 36;
+    gopts.max_iterations = 3;
+    if (argc > 4 || (argc > 1 && !apps::parseAppArg(argv[1], kind))
+        || (argc > 2
+            && !parseJsonOrNull(argv[2]).integer(gopts.problem_size))
+        || (argc > 3
+            && !parseJsonOrNull(argv[3]).integer(gopts.max_iterations)))
+        return usage();
+    try {
+        explore(kind, gopts);
+    } catch (const FatalError &) {
+        // fatal() has already printed the reason.
+        return 1;
+    }
     return 0;
 }

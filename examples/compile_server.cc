@@ -26,11 +26,14 @@
  * parent finishes with an orderly Shutdown.  TCP with port 0 binds
  * an ephemeral port and prints it, so scripts can scrape the
  * "listening on" line instead of guessing.
+ *
+ * --threads=N reads N whole as a JSON integer in [1, 256]; anything
+ * else prints the usage line and exits 2 before a socket or thread
+ * is opened.
  */
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -40,6 +43,7 @@
 
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "service/service.h"
 #include "service/shard.h"
@@ -48,6 +52,9 @@
 namespace wire = qsurf::service::wire;
 
 namespace {
+
+/** Largest --threads value accepted. */
+constexpr int kMaxThreads = 256;
 
 int
 usage(const char *argv0)
@@ -80,9 +87,9 @@ main(int argc, char **argv)
             stdio = true;
         else if (arg == "--sweep-worker")
             sweep_worker = true;
-        else if (arg.rfind("--threads=", 0) == 0)
-            threads = std::atoi(arg.c_str() + 10);
-        else
+        else if (arg.rfind("--threads=", 0) != 0
+                 || !parseJsonOrNull(arg.substr(10)).integer(threads)
+                 || threads < 1 || threads > kMaxThreads)
             return usage(argv[0]);
     }
     if (stdio && (sweep_worker || !tcp_spec.empty()))

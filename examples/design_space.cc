@@ -18,7 +18,6 @@
  */
 
 #include <cmath>
-#include <cstring>
 #include <iostream>
 
 #include "common/json.h"
@@ -31,28 +30,11 @@ namespace {
 
 using namespace qsurf;
 
-apps::AppKind
-parseApp(const char *name)
-{
-    if (!std::strcmp(name, "gse"))
-        return apps::AppKind::GSE;
-    if (!std::strcmp(name, "sq"))
-        return apps::AppKind::SQ;
-    if (!std::strcmp(name, "sha1"))
-        return apps::AppKind::SHA1;
-    if (!std::strcmp(name, "im-semi"))
-        return apps::AppKind::IsingSemi;
-    if (!std::strcmp(name, "im-full"))
-        return apps::AppKind::IsingFull;
-    fatal("unknown app '", name,
-          "' (expected gse|sq|sha1|im-semi|im-full)");
-}
-
 int
 usage()
 {
-    std::cerr << "usage: design_space [gse|sq|sha1|im-semi|im-full] "
-                 "[log10_ops] [p_physical]\n";
+    std::cerr << "usage: design_space [" << apps::kAppArgNames
+              << "] [log10_ops] [p_physical]\n";
     return 2;
 }
 
@@ -121,13 +103,7 @@ main(int argc, char **argv)
     apps::AppKind kind = apps::AppKind::SQ;
     double log_ops = 10.0;
     double pp = 1e-6;
-    try {
-        if (argc > 1)
-            kind = parseApp(argv[1]);
-    } catch (const FatalError &) {
-        return usage();
-    }
-    if (argc > 4
+    if (argc > 4 || (argc > 1 && !apps::parseAppArg(argv[1], kind))
         || (argc > 2 && !parseJsonOrNull(argv[2]).number(log_ops))
         || (argc > 3 && !parseJsonOrNull(argv[3]).number(pp)))
         return usage();

@@ -1,6 +1,7 @@
 #include "apps/apps.h"
 
 #include <array>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -46,6 +47,23 @@ appSpec(AppKind kind)
         if (s.kind == kind)
             return s;
     panic("unknown AppKind ", static_cast<int>(kind));
+}
+
+bool
+parseAppArg(const std::string &name, AppKind &out)
+{
+    static const std::pair<const char *, AppKind> names[] = {
+        {"gse", AppKind::GSE},           {"sq", AppKind::SQ},
+        {"sha1", AppKind::SHA1},         {"im-semi", AppKind::IsingSemi},
+        {"im-full", AppKind::IsingFull},
+    };
+    for (const auto &[arg, kind] : names) {
+        if (name == arg) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
 }
 
 circuit::Circuit

@@ -48,6 +48,14 @@ struct AppSpec
 /** @return the spec for @p kind. */
 const AppSpec &appSpec(AppKind kind);
 
+/** The command-line app names parseAppArg() accepts, for usage
+ *  lines. */
+inline constexpr const char *kAppArgNames = "gse|sq|sha1|im-semi|im-full";
+
+/** Read command-line app name @p name (one of kAppArgNames) into
+ *  @p out.  @return false, leaving @p out, when it is none of them. */
+bool parseAppArg(const std::string &name, AppKind &out);
+
 /** Generator knobs common to every application. */
 struct GenOptions
 {

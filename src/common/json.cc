@@ -338,21 +338,29 @@ class JsonParser
   public:
     explicit JsonParser(const std::string &text) : text(text) {}
 
+    /** Throw a syntax error without logging it: parseJson logs,
+     *  parseJsonQuietly does not. */
+    template <typename... Args>
+    [[noreturn]] static void
+    fail(Args &&...args)
+    {
+        throw FatalError(detail::concat(std::forward<Args>(args)...));
+    }
+
     JsonValue
     parse()
     {
         JsonValue v = parseValue();
         skipWs();
         if (pos != text.size())
-            fatal("json: trailing content at ", where());
+            fail("json: trailing content at ", where());
         return v;
     }
 
   private:
     // where() rescans the input to locate pos, so every call below
-    // guards it behind its failure condition (never pass it to the
-    // eager fatalIf) — otherwise each token pays a scan and parsing
-    // goes quadratic.
+    // guards it behind its failure condition — otherwise each token
+    // pays a scan and parsing goes quadratic.
     std::string
     where() const
     {
@@ -382,8 +390,8 @@ class JsonParser
     char
     peek()
     {
-        fatalIf(pos >= text.size(),
-                "json: unexpected end of input");
+        if (pos >= text.size())
+            fail("json: unexpected end of input");
         return text[pos];
     }
 
@@ -391,7 +399,7 @@ class JsonParser
     expect(char c)
     {
         if (pos >= text.size() || text[pos] != c)
-            fatal("json: expected '", std::string(1, c), "' at ",
+            fail("json: expected '", std::string(1, c), "' at ",
                   where());
         ++pos;
     }
@@ -423,7 +431,7 @@ class JsonParser
           }
           case 't': {
             if (!consumeLiteral("true"))
-                fatal("json: bad literal at ", where());
+                fail("json: bad literal at ", where());
             JsonValue v;
             v.kind = JsonValue::Kind::Bool;
             v.boolean = true;
@@ -431,14 +439,14 @@ class JsonParser
           }
           case 'f': {
             if (!consumeLiteral("false"))
-                fatal("json: bad literal at ", where());
+                fail("json: bad literal at ", where());
             JsonValue v;
             v.kind = JsonValue::Kind::Bool;
             return v;
           }
           case 'n':
             if (!consumeLiteral("null"))
-                fatal("json: bad literal at ", where());
+                fail("json: bad literal at ", where());
             return JsonValue{};
           default:
             return parseNumber();
@@ -501,21 +509,21 @@ class JsonParser
         expect('"');
         std::string out;
         for (;;) {
-            fatalIf(pos >= text.size(),
-                    "json: unterminated string");
+            if (pos >= text.size())
+                fail("json: unterminated string");
             char c = text[pos++];
             if (c == '"')
                 return out;
             if (c != '\\') {
                 if (static_cast<unsigned char>(c) < 0x20)
-                    fatal("json: raw control character in string "
+                    fail("json: raw control character in string "
                           "at ",
                           where());
                 out += c;
                 continue;
             }
-            fatalIf(pos >= text.size(),
-                    "json: unterminated escape");
+            if (pos >= text.size())
+                fail("json: unterminated escape");
             char esc = text[pos++];
             switch (esc) {
               case '"':  out += '"'; break;
@@ -528,7 +536,7 @@ class JsonParser
               case 't':  out += '\t'; break;
               case 'u': {
                 if (pos + 4 > text.size())
-                    fatal("json: truncated \\u escape");
+                    fail("json: truncated \\u escape");
                 unsigned code = 0;
                 for (int i = 0; i < 4; ++i) {
                     char h = text[pos++];
@@ -540,7 +548,7 @@ class JsonParser
                     else if (h >= 'A' && h <= 'F')
                         code |= static_cast<unsigned>(h - 'A' + 10);
                     else
-                        fatal("json: bad \\u escape at ", where());
+                        fail("json: bad \\u escape at ", where());
                 }
                 // UTF-8 encode; the writers only emit \u00xx but
                 // hand-written inputs may carry the full BMP.
@@ -558,7 +566,7 @@ class JsonParser
                 break;
               }
               default:
-                fatal("json: bad escape '\\",
+                fail("json: bad escape '\\",
                       std::string(1, esc), "' at ", where());
             }
         }
@@ -578,13 +586,13 @@ class JsonParser
                    || text[pos] == '-'))
             ++pos;
         if (pos == start)
-            fatal("json: unexpected character '",
+            fail("json: unexpected character '",
                   std::string(1, text[start]), "' at ", where());
         std::string lit = text.substr(start, pos - start);
         char *end = nullptr;
         double v = std::strtod(lit.c_str(), &end);
         if (end != lit.c_str() + lit.size())
-            fatal("json: bad number '", lit, "' at ", where());
+            fail("json: bad number '", lit, "' at ", where());
         JsonValue out;
         out.kind = JsonValue::Kind::Number;
         out.num = v;
@@ -601,6 +609,16 @@ class JsonParser
 JsonValue
 parseJson(const std::string &text)
 {
+    try {
+        return JsonParser(text).parse();
+    } catch (const FatalError &e) {
+        fatal(e.what());
+    }
+}
+
+JsonValue
+parseJsonQuietly(const std::string &text)
+{
     return JsonParser(text).parse();
 }
 
@@ -608,7 +626,7 @@ JsonValue
 parseJsonOrNull(const std::string &text)
 {
     try {
-        return parseJson(text);
+        return parseJsonQuietly(text);
     } catch (const FatalError &) {
         return {};
     }

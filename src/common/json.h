@@ -168,6 +168,10 @@ void readJson(const JsonValue &v, const char *where,
  */
 JsonValue parseJson(const std::string &text);
 
+/** parseJson for input that is expected to be bad at times: a
+ *  syntax error throws the same FatalError but logs nothing. */
+JsonValue parseJsonQuietly(const std::string &text);
+
 /**
  * @return @p text parsed as one JSON document, or a Null value when
  * it is not one.  Command-line tools read a numeric argument whole

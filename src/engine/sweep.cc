@@ -40,20 +40,6 @@ rowField(const JsonValue &row, const char *key, T &out,
         readMetric(*v, "sweep row", key, out);
 }
 
-/** The rows path the options resolve to, or "" when streaming is
- *  off. */
-std::string
-resolveRowsPath(const SweepOptions &opts)
-{
-    if (!opts.stream_rows)
-        return {};
-    if (!opts.rows_path.empty())
-        return opts.rows_path;
-    if (!opts.json_path.empty())
-        return opts.json_path + ".rows";
-    return {};
-}
-
 void
 hashCombine(uint64_t &h, const void *data, size_t len)
 {
@@ -71,11 +57,18 @@ hashValue(uint64_t &h, const T &v)
     hashCombine(h, &v, sizeof(v));
 }
 
+/** Hash a length first, so adjacent lists and strings never blur
+ *  into one byte stream. */
+void
+hashLength(uint64_t &h, size_t n)
+{
+    hashValue(h, static_cast<uint64_t>(n));
+}
+
 void
 hashString(uint64_t &h, const std::string &s)
 {
-    uint64_t len = s.size();
-    hashValue(h, len);
+    hashLength(h, s.size());
     hashCombine(h, s.data(), s.size());
 }
 
@@ -84,16 +77,16 @@ hashString(uint64_t &h, const std::string &s)
 size_t
 SweepGrid::points() const
 {
-    return apps.size() * sizes.size() * distances.size()
-        * policies.size() * arbiters.size()
-        * layout_objectives.size() * epr_windows.size()
-        * defects.size() * backends.size();
+    size_t n = apps.size() * backends.size();
+    forEachAxis([&](const auto &axis) { n *= (this->*axis.values).size(); });
+    return n;
 }
 
 uint64_t
 sweepGridFingerprint(const SweepGrid &grid)
 {
     uint64_t h = 0xcbf29ce484222325ull;
+    hashLength(h, grid.apps.size());
     for (const AppPoint &app : grid.apps) {
         hashValue(h, app.kind);
         hashValue(h, app.gen.problem_size);
@@ -103,22 +96,14 @@ sweepGridFingerprint(const SweepGrid &grid)
             app.circuit ? circuit::fingerprint(*app.circuit) : 0;
         hashValue(h, fp);
     }
+    hashLength(h, grid.backends.size());
     for (const std::string &b : grid.backends)
         hashString(h, b);
-    for (int v : grid.policies)
-        hashValue(h, v);
-    for (int v : grid.arbiters)
-        hashValue(h, v);
-    for (int v : grid.layout_objectives)
-        hashValue(h, v);
-    for (int v : grid.epr_windows)
-        hashValue(h, v);
-    for (int v : grid.distances)
-        hashValue(h, v);
-    for (double v : grid.sizes)
-        hashValue(h, v);
-    for (double v : grid.defects)
-        hashValue(h, v);
+    forEachAxis([&](const auto &axis) {
+        hashLength(h, (grid.*axis.values).size());
+        for (const auto &v : grid.*axis.values)
+            hashValue(h, v);
+    });
     forEachField(grid.base, [&h](const char *, const auto &v) {
         if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
                                      std::string>)
@@ -139,12 +124,10 @@ expandPoints(const SweepGrid &grid, const Registry &registry,
     fatalIf(grid.apps.empty(), "sweep grid needs at least one app");
     fatalIf(grid.backends.empty(),
             "sweep grid needs at least one backend");
-    fatalIf(grid.policies.empty() || grid.arbiters.empty()
-                || grid.layout_objectives.empty()
-                || grid.epr_windows.empty()
-                || grid.distances.empty() || grid.sizes.empty()
-                || grid.defects.empty(),
-            "sweep grid axes must be non-empty");
+    forEachAxis([&](const auto &axis) {
+        fatalIf((grid.*axis.values).empty(), "sweep grid axis '",
+                axis.wire_key, "' must be non-empty");
+    });
     grid.base.tech.check();
 
     // Resolve backends up front so name typos fail before any work.
@@ -153,53 +136,38 @@ expandPoints(const SweepGrid &grid, const Registry &registry,
     for (const std::string &name : grid.backends)
         backends.push_back(&registry.get(name));
 
-    // Expand the grid: app (outer) x size x distance x policy x
-    // arbiter x layout objective x EPR window x defect density x
-    // backend (inner).
-    std::vector<SweepPoint> points;
-    points.reserve(grid.points());
+    std::vector<std::string> app_names;
+    for (const AppPoint &app : grid.apps) {
+        std::string name = app.label;
+        if (name.empty() && app.circuit)
+            name = app.circuit->name();
+        if (name.empty())
+            name = apps::appSpec(app.kind).name;
+        app_names.push_back(std::move(name));
+    }
+
+    // One odometer over the flat index: app (outer), the axes in
+    // forEachAxis order, backend (inner).
+    const size_t n = grid.points();
+    std::vector<SweepPoint> points(n);
     if (item_backend)
-        item_backend->reserve(grid.points());
-    for (size_t a = 0; a < grid.apps.size(); ++a) {
-        const AppPoint &app = grid.apps[a];
-        std::string app_name = app.label;
-        if (app_name.empty() && app.circuit)
-            app_name = app.circuit->name();
-        if (app_name.empty())
-            app_name = apps::appSpec(app.kind).name;
-        for (double kq : grid.sizes) {
-            for (int d : grid.distances) {
-                for (int policy : grid.policies) {
-                    for (int arbiter : grid.arbiters) {
-                        for (int objective : grid.layout_objectives) {
-                            for (int window : grid.epr_windows) {
-                              for (double defect : grid.defects) {
-                                for (size_t b = 0;
-                                     b < backends.size(); ++b) {
-                                    SweepPoint p;
-                                    p.index = points.size();
-                                    p.app_index = a;
-                                    p.app_name = app_name;
-                                    p.backend = grid.backends[b];
-                                    p.policy = policy;
-                                    p.arbiter = arbiter;
-                                    p.layout_objective = objective;
-                                    p.epr_window = window;
-                                    p.distance = d;
-                                    p.kq = kq;
-                                    p.defect = defect;
-                                    points.push_back(std::move(p));
-                                    if (item_backend)
-                                        item_backend->push_back(
-                                            backends[b]);
-                                }
-                              }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        item_backend->resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        SweepPoint &p = points[i];
+        size_t stride = n / grid.apps.size();
+        size_t rest = i % stride;
+        p.index = i;
+        p.app_index = i / stride;
+        p.app_name = app_names[p.app_index];
+        forEachAxis([&](const auto &axis) {
+            const auto &values = grid.*axis.values;
+            stride /= values.size();
+            p.*axis.point = values[rest / stride];
+            rest %= stride;
+        });
+        p.backend = grid.backends[rest];
+        if (item_backend)
+            (*item_backend)[i] = backends[rest];
     }
     return points;
 }
@@ -223,19 +191,14 @@ SweepDriver::run(const SweepGrid &grid, const SweepOptions &opts) const
         ? (opts.cache ? opts.cache : &service::PrepareCache::global())
         : nullptr;
 
-    // Resume: merge rows an interrupted run already finished, so
-    // only the remainder executes.
+    // The row stream: one flushed line per completed point, so a
+    // killed run leaves a valid, resumable partial file.  Resume
+    // merges the rows an interrupted run already finished, so only
+    // the remainder executes.
     std::vector<uint8_t> done(points.size(), 0);
-    std::string rows_path = resolveRowsPath(opts);
-    size_t resumed = 0;
-    size_t rows_valid_bytes = 0;
-    if (opts.resume && !rows_path.empty()) {
-        resumed = loadSweepRows(rows_path, grid, opts.title, points,
-                                done, &rows_valid_bytes);
-        if (resumed)
-            inform("resuming sweep: ", resumed, " of ",
-                   points.size(), " points from '", rows_path, "'");
-    }
+    std::ofstream rows_stream;
+    std::mutex row_mutex;
+    openSweepRows(rows_stream, grid, opts, points, done);
 
     auto selected = [&](size_t i) {
         return !done[i]
@@ -298,49 +261,15 @@ SweepDriver::run(const SweepGrid &grid, const SweepOptions &opts) const
             ? fingerprints[p.app_index]
             : 0;
         item.config = grid.base;
-        item.config.policy = p.policy;
-        item.config.hybrid_arbiter = p.arbiter;
-        item.config.layout_objective = p.layout_objective;
-        if (p.epr_window >= 0)
-            item.config.epr_window_steps = p.epr_window;
-        item.config.code_distance = p.distance;
-        item.config.kq = p.kq;
-        // The defect axis sets the density; map seed and explicit
-        // spec ride along from the base config.
-        item.config.defect_density = p.defect;
+        forEachAxis([&](const auto &axis) {
+            axis.apply(item.config, p.*axis.point);
+        });
         // Seeds vary per application point, never along the policy/
         // distance/size axes: a figure compares those on the *same*
         // seeded machine layout (the paper's methodology), and the
         // derivation depends only on the grid, never on threading.
         item.config.seed = mixSeed(grid.base.seed, p.app_index);
         backend->prepare(item);
-    }
-
-    // The row stream: one flushed line per completed point, so a
-    // killed run leaves a valid, resumable partial file.  Appends
-    // after a successful resume — first dropping any torn tail the
-    // killed run left, or the next row would fuse with it —
-    // otherwise truncates and writes a fresh header.
-    std::ofstream rows_stream;
-    std::mutex row_mutex;
-    if (!rows_path.empty()) {
-        if (resumed) {
-            std::error_code ec;
-            std::filesystem::resize_file(rows_path,
-                                         rows_valid_bytes, ec);
-            fatalIf(static_cast<bool>(ec), "cannot truncate '",
-                    rows_path, "': ", ec.message());
-        }
-        rows_stream.open(rows_path, resumed
-                                        ? std::ios::app
-                                        : std::ios::trunc);
-        fatalIf(!rows_stream, "cannot open '", rows_path,
-                "' for writing");
-        if (!resumed) {
-            writeSweepRowsHeader(rows_stream, grid, opts.title);
-            rows_stream << "\n";
-            rows_stream.flush();
-        }
     }
 
     // Execute across the pool.  Work items are independent and
@@ -494,28 +423,18 @@ void
 writeSweepRow(JsonWriter &j, const SweepPoint &p, bool timing)
 {
     // The Metrics fields in forEachMetric order, with the grid axes
-    // and the derived ratio and space-time interleaved where rows
-    // have always carried them: resumable row files and shard
-    // merges compare these bytes.
+    // (each after its row_after field) and the derived ratio and
+    // space-time interleaved where rows have always carried them:
+    // resumable row files and shard merges compare these bytes.
     j.beginObject();
     j.field("app", p.app_name);
     forEachMetric(p.metrics, [&](std::string_view name, const auto &v) {
         writeMetric(j, name.data(), v);
-        if (name == "code") {
-            j.field("policy", p.policy);
-            j.field("arbiter", p.arbiter);
-            j.field("layout_objective", p.layout_objective);
-            if (p.epr_window >= 0)
-                j.field("epr_window", p.epr_window);
-        } else if (name == "code_distance") {
-            if (p.kq > 0)
-                j.field("kq", p.kq);
-            // Emitted only when damaged, like the optional axes
-            // above, so density-0 rows stay byte-identical to
-            // pre-defect output.
-            if (p.defect > 0)
-                j.field("defect", p.defect);
-        } else if (name == "critical_path_cycles") {
+        forEachAxis([&](const auto &axis) {
+            if (axis.carried(p) && name == axis.row_after)
+                j.field(axis.row_key, p.*axis.point);
+        });
+        if (name == "critical_path_cycles") {
             j.field("ratio", p.metrics.ratio());
         } else if (name == "seconds") {
             j.field("space_time", p.metrics.spaceTime());
@@ -548,10 +467,12 @@ writeSweepRowLine(std::ostream &os, const SweepPoint &p)
     j.endObject();
 }
 
+namespace {
+
+/** parseSweepRowLine over an already parsed line. */
 SweepPoint
-parseSweepRowLine(const std::string &line)
+rowFromJson(const JsonValue &doc)
 {
-    JsonValue doc = parseJson(line);
     fatalIf(!doc.isObject(), "sweep row line is not an object");
     SweepPoint p;
     uint64_t index = 0;
@@ -565,12 +486,10 @@ parseSweepRowLine(const std::string &line)
         rowField(*row, name, v);
     });
     p.backend = p.metrics.backend;
-    rowField(*row, "policy", p.policy);
-    rowField(*row, "arbiter", p.arbiter);
-    rowField(*row, "layout_objective", p.layout_objective);
-    rowField(*row, "epr_window", p.epr_window, false);
-    rowField(*row, "kq", p.kq, false);
-    rowField(*row, "defect", p.defect, false);
+    forEachAxis([&](const auto &axis) {
+        if (axis.row_key)
+            rowField(*row, axis.row_key, p.*axis.point, !axis.in_row);
+    });
     rowField(*row, "wall_ms", p.wall_ms, false);
     rowField(*row, "prepare_ms", p.prepare_ms, false);
     rowField(*row, "arena_allocs", p.arena_allocs, false);
@@ -579,6 +498,14 @@ parseSweepRowLine(const std::string &line)
     if (const JsonValue *extras = row->find("extras"))
         readExtras(*extras, "sweep row", p.metrics);
     return p;
+}
+
+} // namespace
+
+SweepPoint
+parseSweepRowLine(const std::string &line)
+{
+    return rowFromJson(parseJson(line));
 }
 
 std::string
@@ -623,7 +550,7 @@ loadSweepRows(const std::string &path, const SweepGrid &grid,
         return 0;
     // Header check: never merge rows from a different experiment.
     try {
-        JsonValue header = parseJson(line);
+        JsonValue header = parseJsonQuietly(line);
         const JsonValue *stream = header.find("stream");
         const JsonValue *fp = header.find("grid_fingerprint");
         const JsonValue *n = header.find("points");
@@ -665,43 +592,86 @@ loadSweepRows(const std::string &path, const SweepGrid &grid,
         }
         SweepPoint row;
         try {
-            row = parseSweepRowLine(line);
+            row = rowFromJson(parseJsonQuietly(line));
         } catch (const FatalError &) {
             // A torn final line is exactly what a killed run leaves
-            // behind; everything before it is still good.
+            // behind (hence the quiet parse); everything before it
+            // is still good.
             warn("row stream '", path,
                  "' ends in a torn line; ignoring it");
             break;
         }
-        fatalIf(row.index >= points.size(), "row stream '", path,
-                "' names out-of-range index ", row.index);
-        SweepPoint &dst = points[row.index];
-        fatalIf(row.app_name != dst.app_name
-                    || row.backend != dst.backend
-                    || row.policy != dst.policy
-                    || row.arbiter != dst.arbiter
-                    || row.layout_objective != dst.layout_objective
-                    || row.epr_window != dst.epr_window
-                    || row.defect != dst.defect,
-                "row stream '", path, "' row ", row.index,
-                " disagrees with the grid expansion");
-        size_t index = dst.index;
-        size_t app_index = dst.app_index;
-        int distance = dst.distance;
-        double kq = dst.kq;
-        dst = std::move(row);
-        dst.index = index;
-        dst.app_index = app_index;
-        dst.distance = distance;
-        dst.kq = kq;
-        if (!done[dst.index])
+        if (mergeSweepRow(std::move(row), points, done,
+                          "row stream '" + path + "'"))
             ++merged;
-        done[dst.index] = 1;
         consumed += line.size() + 1;
     }
     if (valid_bytes)
         *valid_bytes = consumed;
     return merged;
+}
+
+bool
+mergeSweepRow(SweepPoint row, std::vector<SweepPoint> &points,
+              std::vector<uint8_t> &done, const std::string &source)
+{
+    fatalIf(row.index >= points.size(), source,
+            " names out-of-range index ", row.index);
+    SweepPoint &dst = points[row.index];
+    bool agrees = row.app_name == dst.app_name
+        && row.backend == dst.backend;
+    forEachAxis([&](const auto &axis) {
+        agrees = agrees && axis.carried(row) == axis.carried(dst)
+            && (!axis.carried(dst) || row.*axis.point == dst.*axis.point);
+    });
+    fatalIf(!agrees, source, " row ", row.index,
+            " disagrees with the grid expansion");
+    if (done[row.index])
+        return false;
+    SweepPoint expanded = std::move(dst);
+    dst = std::move(row);
+    dst.index = expanded.index;
+    dst.app_index = expanded.app_index;
+    forEachAxis([&](const auto &axis) {
+        dst.*axis.point = expanded.*axis.point;
+    });
+    done[dst.index] = 1;
+    return true;
+}
+
+size_t
+openSweepRows(std::ofstream &out, const SweepGrid &grid,
+              const SweepOptions &opts, std::vector<SweepPoint> &points,
+              std::vector<uint8_t> &done)
+{
+    std::string path = opts.rows_path;
+    if (path.empty() && !opts.json_path.empty())
+        path = opts.json_path + ".rows";
+    if (!opts.stream_rows || path.empty())
+        return 0;
+    size_t resumed = 0;
+    size_t valid_bytes = 0;
+    if (opts.resume)
+        resumed = loadSweepRows(path, grid, opts.title, points, done,
+                                &valid_bytes);
+    if (resumed) {
+        inform("resuming sweep: ", resumed, " of ", points.size(),
+               " points from '", path, "'");
+        // Drop any torn tail the killed run left before appending,
+        // or the next row would fuse with it.
+        std::error_code ec;
+        std::filesystem::resize_file(path, valid_bytes, ec);
+        fatalIf(static_cast<bool>(ec), "cannot truncate '", path,
+                "': ", ec.message());
+    }
+    out.open(path, resumed ? std::ios::app : std::ios::trunc);
+    fatalIf(!out, "cannot open '", path, "' for writing");
+    if (!resumed) {
+        writeSweepRowsHeader(out, grid, opts.title);
+        out << "\n";
+        out.flush();
+    }
+    return resumed;
 }
 
 void

@@ -3,10 +3,10 @@
  * The parallel sweep driver behind every figure of the evaluation.
  *
  * A SweepGrid declares the cross-product the paper's figures are
- * built from — applications x backends x braid policies x code
- * distances x computation sizes — and the driver expands it into
- * work items, executes them across a thread pool, and returns the
- * results in grid order.  Per-item seeds are derived
+ * built from — applications x the axes forEachAxis() lists (sizes,
+ * distances, braid policies, ...) x backends — and the driver
+ * expands it into work items, executes them across a thread pool,
+ * and returns the results in grid order.  Per-item seeds are derived
  * deterministically from the base seed and the item's application
  * point (so policy/distance/size comparisons run on the same seeded
  * machine layout, and a sweep is bit-identical at any thread count);
@@ -17,6 +17,7 @@
 #ifndef QSURF_ENGINE_SWEEP_H
 #define QSURF_ENGINE_SWEEP_H
 
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -74,7 +75,12 @@ struct AppPoint
     std::shared_ptr<const circuit::Circuit> circuit;
 };
 
-/** The declarative cross-product one sweep executes. */
+/**
+ * The declarative cross-product one sweep executes.  Its axes
+ * between `apps` and `backends` are listed once, in forEachAxis():
+ * adding an axis means one member here, one in SweepPoint and one
+ * line there.
+ */
 struct SweepGrid
 {
     /** Applications (outermost axis). */
@@ -193,6 +199,88 @@ struct SweepPoint
             : 0.0;
     }
 };
+
+/**
+ * One SweepGrid axis as forEachAxis() declares it: where its values
+ * live, the keys it travels under, how it sets a run's config and
+ * where a sweep row carries it.
+ */
+template <typename T>
+struct SweepAxis
+{
+    std::vector<T> SweepGrid::*values; ///< The grid's value list.
+    T SweepPoint::*point;              ///< An expanded point's value.
+    const char *wire_key;              ///< Key in the wire grid codec.
+
+    /** Key in a sweep row; null when rows do not carry the axis
+     *  (the resolved distance travels as code_distance). */
+    const char *row_key;
+
+    /** The forEachMetric field the row key follows. */
+    const char *row_after;
+
+    /** @return whether a row carries value @p v; null means always.
+     *  Rows leave out the values that mean "unset", so grids
+     *  without the axis keep their row bytes. */
+    bool (*in_row)(T v);
+
+    /** Set @p config's field from the point's value @p v. */
+    void (*apply)(RunConfig &config, T v);
+
+    /** @return whether a row of @p p carries this axis. */
+    bool
+    carried(const SweepPoint &p) const
+    {
+        return row_key && (!in_row || in_row(p.*point));
+    }
+};
+
+/**
+ * The one list of SweepGrid's axes, in expansion order (apps are
+ * outermost before them, backends innermost after them): calls
+ * @p f(axis) once per axis with a SweepAxis<int> or
+ * SweepAxis<double>.  The expansion, the grid fingerprint, the
+ * per-point RunConfig, the sweep row codec, the row merge and the
+ * wire grid codec all loop over it.
+ */
+template <typename F>
+void
+forEachAxis(F &&f)
+{
+    f(SweepAxis<double>{&SweepGrid::sizes, &SweepPoint::kq, "sizes",
+                        "kq", "code_distance",
+                        [](double v) { return v > 0; },
+                        [](RunConfig &c, double v) { c.kq = v; }});
+    f(SweepAxis<int>{&SweepGrid::distances, &SweepPoint::distance,
+                     "distances", nullptr, nullptr, nullptr,
+                     [](RunConfig &c, int v) { c.code_distance = v; }});
+    f(SweepAxis<int>{&SweepGrid::policies, &SweepPoint::policy,
+                     "policies", "policy", "code", nullptr,
+                     [](RunConfig &c, int v) { c.policy = v; }});
+    f(SweepAxis<int>{&SweepGrid::arbiters, &SweepPoint::arbiter,
+                     "arbiters", "arbiter", "code", nullptr,
+                     [](RunConfig &c, int v) { c.hybrid_arbiter = v; }});
+    f(SweepAxis<int>{&SweepGrid::layout_objectives,
+                     &SweepPoint::layout_objective, "layout_objectives",
+                     "layout_objective", "code", nullptr,
+                     [](RunConfig &c, int v) { c.layout_objective = v; }});
+    // -1 keeps the base config's window.
+    f(SweepAxis<int>{&SweepGrid::epr_windows, &SweepPoint::epr_window,
+                     "epr_windows", "epr_window", "code",
+                     [](int v) { return v >= 0; },
+                     [](RunConfig &c, int v) {
+                         if (v >= 0)
+                             c.epr_window_steps = v;
+                     }});
+    // The density only: map seed and explicit spec ride along from
+    // the base config.
+    f(SweepAxis<double>{&SweepGrid::defects, &SweepPoint::defect,
+                        "defects", "defect", "code_distance",
+                        [](double v) { return v > 0; },
+                        [](RunConfig &c, double v) {
+                            c.defect_density = v;
+                        }});
+}
 
 /** Execution knobs of one sweep. */
 struct SweepOptions
@@ -374,8 +462,11 @@ std::string canonicalSweepRows(const std::vector<SweepPoint> &points);
 /**
  * @return a fingerprint of everything that determines @p grid's
  * results: every axis, every base-config field, app generator knobs
- * and caller-circuit fingerprints.  The row-stream header records
- * it so resume never merges rows from a different experiment.
+ * and caller-circuit fingerprints.  Each list's length is hashed
+ * before its values, so two grids that differ only in where one
+ * axis ends and the next begins never share a fingerprint.  The
+ * row-stream header records it so resume never merges rows from a
+ * different experiment.
  */
 uint64_t sweepGridFingerprint(const SweepGrid &grid);
 
@@ -384,12 +475,25 @@ void writeSweepRowsHeader(std::ostream &os, const SweepGrid &grid,
                           const std::string &title);
 
 /**
- * Load a row stream written against @p grid: rows parse into
+ * Merge @p row into @p points (the expanded grid) at its index and
+ * mark it in @p done.  The merged point keeps the expanded index,
+ * app index and axis values; the first row for an index wins.
+ * fatal()s naming @p source when the index is out of range or the
+ * row disagrees with its expanded point on the app, the backend or
+ * any axis the row carries.  @return whether the point was new.
+ */
+bool mergeSweepRow(SweepPoint row, std::vector<SweepPoint> &points,
+                   std::vector<uint8_t> &done,
+                   const std::string &source);
+
+/**
+ * Load a row stream written against @p grid: rows merge into
  * @p points (which must be the expanded grid) and @p done marks
  * their indices.  @return rows merged; 0 when the file is missing
  * or its header does not match (callers then run fresh).  A torn
  * trailing line — unparsable, or missing its newline — is ignored;
- * a row disagreeing with the expanded metadata fatal()s.
+ * a row disagreeing with the expanded metadata fatal()s (see
+ * mergeSweepRow).
  *
  * @p valid_bytes, when non-null, receives the byte length of the
  * validated newline-terminated prefix.  Resuming writers must
@@ -401,6 +505,20 @@ size_t loadSweepRows(const std::string &path, const SweepGrid &grid,
                      std::vector<SweepPoint> &points,
                      std::vector<uint8_t> &done,
                      size_t *valid_bytes = nullptr);
+
+/**
+ * Open @p out on the row stream @p opts names (rows_path, else
+ * json_path + ".rows"; none when stream_rows is off or both are
+ * empty) for a run of @p grid.  With opts.resume, the rows a
+ * matching file holds are first merged into @p points and @p done
+ * (loadSweepRows), its torn tail is cut off and @p out appends;
+ * otherwise the file is truncated to a fresh header.  @return the
+ * rows merged from disk.
+ */
+size_t openSweepRows(std::ofstream &out, const SweepGrid &grid,
+                     const SweepOptions &opts,
+                     std::vector<SweepPoint> &points,
+                     std::vector<uint8_t> &done);
 
 /**
  * @return a sensible worker count for interactive sweeps: the

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -370,52 +369,10 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
     std::vector<SweepPoint> points =
         engine::expandSweepPoints(grid, registry);
     std::vector<uint8_t> done(points.size(), 0);
-
-    std::string rows_path;
-    if (opts.sweep.stream_rows) {
-        rows_path = !opts.sweep.rows_path.empty()
-            ? opts.sweep.rows_path
-            : (!opts.sweep.json_path.empty()
-                   ? opts.sweep.json_path + ".rows"
-                   : std::string());
-    }
-    size_t resumed = 0;
-    size_t rows_valid_bytes = 0;
-    if (opts.sweep.resume && !rows_path.empty()) {
-        resumed = engine::loadSweepRows(rows_path, grid,
-                                        opts.sweep.title, points,
-                                        done, &rows_valid_bytes);
-        if (resumed)
-            inform("resuming sharded sweep: ", resumed, " of ",
-                   points.size(), " points from '", rows_path, "'");
-    }
-    size_t remaining = 0;
-    for (uint8_t d : done)
-        if (!d)
-            ++remaining;
-
     std::ofstream rows_stream;
-    if (!rows_path.empty()) {
-        if (resumed) {
-            // Drop any torn tail before appending (see the
-            // single-process driver for the rationale).
-            std::error_code ec;
-            std::filesystem::resize_file(rows_path,
-                                         rows_valid_bytes, ec);
-            fatalIf(static_cast<bool>(ec), "cannot truncate '",
-                    rows_path, "': ", ec.message());
-        }
-        rows_stream.open(rows_path, resumed ? std::ios::app
-                                            : std::ios::trunc);
-        fatalIf(!rows_stream, "cannot open '", rows_path,
-                "' for writing");
-        if (!resumed) {
-            engine::writeSweepRowsHeader(rows_stream, grid,
-                                         opts.sweep.title);
-            rows_stream << "\n";
-        }
-        rows_stream.flush();
-    }
+    size_t remaining = points.size()
+        - engine::openSweepRows(rows_stream, grid, opts.sweep, points,
+                                done);
 
     if (remaining == 0) {
         // Everything resumed off disk; no fleet to run.
@@ -633,24 +590,12 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
     };
 
     auto mergeRow = [&](const std::string &line) {
-        SweepPoint row = engine::parseSweepRowLine(line);
-        fatalIf(row.index >= points.size(),
-                "worker row names out-of-range index ", row.index);
         // Duplicates happen when a killed worker's buffered rows
         // land after its residue was reassigned; the bytes are
         // identical by construction, so first-wins is exact.
-        if (done[row.index])
+        if (!engine::mergeSweepRow(engine::parseSweepRowLine(line),
+                                   points, done, "worker"))
             return;
-        SweepPoint &dst = points[row.index];
-        fatalIf(row.app_name != dst.app_name
-                    || row.backend != dst.backend
-                    || row.policy != dst.policy
-                    || row.arbiter != dst.arbiter
-                    || row.layout_objective != dst.layout_objective
-                    || row.epr_window != dst.epr_window
-                    || row.defect != dst.defect,
-                "worker row ", row.index,
-                " disagrees with the grid expansion");
         // Rows stream to disk as they land, so a killed sharded
         // sweep leaves the same resumable partial file a killed
         // single-process one does.
@@ -658,16 +603,6 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
             rows_stream << line << "\n";
             rows_stream.flush();
         }
-        size_t index = dst.index;
-        size_t app_index = dst.app_index;
-        int distance = dst.distance;
-        double kq = dst.kq;
-        dst = std::move(row);
-        dst.index = index;
-        dst.app_index = app_index;
-        dst.distance = distance;
-        dst.kq = kq;
-        done[dst.index] = 1;
         --remaining;
     };
 

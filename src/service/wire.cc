@@ -507,29 +507,13 @@ encodeSweepGrid(const engine::SweepGrid &grid)
     for (const std::string &b : grid.backends)
         j.value(b);
     j.endArray();
-    auto int_axis = [&](const char *name,
-                        const std::vector<int> &values) {
-        j.key(name);
+    engine::forEachAxis([&](const auto &axis) {
+        j.key(axis.wire_key);
         j.beginArray();
-        for (int v : values)
+        for (auto v : grid.*axis.values)
             j.value(v);
         j.endArray();
-    };
-    int_axis("policies", grid.policies);
-    int_axis("arbiters", grid.arbiters);
-    int_axis("layout_objectives", grid.layout_objectives);
-    int_axis("distances", grid.distances);
-    int_axis("epr_windows", grid.epr_windows);
-    j.key("sizes");
-    j.beginArray();
-    for (double v : grid.sizes)
-        j.value(v);
-    j.endArray();
-    j.key("defects");
-    j.beginArray();
-    for (double v : grid.defects)
-        j.value(v);
-    j.endArray();
+    });
     j.key("base");
     writeRunConfig(j, grid.base);
     j.endObject();
@@ -563,23 +547,17 @@ decodeSweepGrid(const std::string &json)
         fatalIf(!b.isString(), "wire grid backend is not a string");
         grid.backends.push_back(b.str);
     }
-    auto axis = [&](const char *name, auto &out) {
-        const JsonValue *v = doc.find(name);
+    engine::forEachAxis([&](const auto &axis) {
+        const JsonValue *v = doc.find(axis.wire_key);
         if (!v)
             return;
-        fatalIf(!v->isArray(), "wire grid '", name,
+        fatalIf(!v->isArray(), "wire grid '", axis.wire_key,
                 "' is not an array");
+        auto &out = grid.*axis.values;
         out.assign(v->items.size(), {});
         for (size_t i = 0; i < out.size(); ++i)
-            readJson(v->items[i], "wire", name, out[i]);
-    };
-    axis("policies", grid.policies);
-    axis("arbiters", grid.arbiters);
-    axis("layout_objectives", grid.layout_objectives);
-    axis("distances", grid.distances);
-    axis("epr_windows", grid.epr_windows);
-    axis("sizes", grid.sizes);
-    axis("defects", grid.defects);
+            readJson(v->items[i], "wire", axis.wire_key, out[i]);
+    });
     if (const JsonValue *base = doc.find("base"))
         readRunConfig(*base, grid.base);
     return grid;

@@ -230,5 +230,28 @@ TEST(JsonParser, ErrorsThrowWithPosition)
     }
 }
 
+TEST(JsonParser, QuietEntryPointsThrowTheSameErrorWithoutLogging)
+{
+    std::string logged_error;
+    ::testing::internal::CaptureStderr();
+    try {
+        parseJson("abc");
+    } catch (const FatalError &e) {
+        logged_error = e.what();
+    }
+    std::string logged = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(logged.find(logged_error), std::string::npos) << logged;
+
+    ::testing::internal::CaptureStderr();
+    try {
+        parseJsonQuietly("abc");
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(e.what(), logged_error);
+    }
+    EXPECT_TRUE(parseJsonOrNull("7xyz").isNull());
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 } // namespace
 } // namespace qsurf
